@@ -10,7 +10,7 @@ class TruncationError(InvalidArgumentError):
 
 
 class SolverError(RuntimeError):
-    """An iterative solve failed to reach the requested residual."""
+    """A solve failed: its factorization broke down or it missed the residual tolerance."""
 
 
 class ConfigError(ValueError):

@@ -116,7 +116,14 @@ class Graph:
         return i
 
     def indices(self, labels: Sequence[int]) -> np.ndarray:
-        return np.asarray([self.index(x) for x in labels], dtype=np.int64)
+        """Vertex indices of `labels`, in the given order (duplicates kept)."""
+        wanted = np.asarray(labels).reshape(-1)
+        idx = np.searchsorted(self.labels, wanted)
+        found = self.labels[np.minimum(idx, self.labels.size - 1)] == wanted
+        if not found.all():
+            missing = wanted[np.argmin(found)]
+            raise InvalidArgumentError(f"vertex {missing} is not in the graph")
+        return idx.astype(np.int64)
 
     def bonds(self) -> Iterator[tuple[int, int, float]]:
         for i in range(self.bond_c.size):

@@ -2,8 +2,9 @@
 
 Everything here trades speed for directness: dense matrices, one-shot
 LAPACK solves, repeated full matrix-vector products.  Used by the test
-suite to pin down expected values; none of the iterative machinery in
-`resistance` or `walk` is reused.
+suite to pin down expected values; none of the sparse factorizations,
+residual checks or transition products in `resistance` or `walk` is
+reused, so the two paths fail independently.
 """
 
 from __future__ import annotations

@@ -35,8 +35,13 @@ from .generate import (
     mix_seed,
 )
 from .graph import Graph, write_edge_list
-from .resistance import OriginResistanceCache, effective_resistance
+from .resistance import (
+    OriginResistanceCache,
+    effective_resistance,
+    max_pointwise_ratios,
+)
 from .scaling import (
+    GoodScaleReport,
     GrowthFunction,
     ScaleObservables,
     bootstrap_mean_ci,
@@ -87,7 +92,7 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
     origin = g.marked
     metric = config.metric
     dist = g.distances_from(origin, metric)
-    _, resistance_growth = growth_functions(config)
+    volume_growth, resistance_growth = growth_functions(config)
 
     radii_all = sorted(set(config.radius_grid) | set(config.goodscale_radii))
     volumes = {R: float(g.measure[dist < R].sum()) for R in radii_all}
@@ -97,22 +102,18 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
         complement[R] = effective_resistance(g, [origin], outside)
 
     pointwise: dict[int, tuple[float, int | None]] = {}
+    goodscale: dict[int, list[GoodScaleReport]] = {}
     if config.goodscale_radii:
-        cache = OriginResistanceCache(g)
-        r_max = max(config.goodscale_radii)
-        sel = (dist < r_max) & (g.labels != origin)
-        labels = g.labels[sel]
-        dsel = dist[sel]
-        pair = cache.pair_resistance(labels)
-        denom = np.asarray([resistance_growth(float(d)) for d in dsel])
-        ratios = pair / denom
-        for R in config.goodscale_radii:
-            mask = dsel < R
-            if mask.any():
-                k = int(np.argmax(np.where(mask, ratios, -np.inf)))
-                pointwise[R] = (float(ratios[k]), int(labels[k]))
-            else:
-                pointwise[R] = (0.0, None)
+        ratios = max_pointwise_ratios(
+            g, config.goodscale_radii, metric, resistance_growth, OriginResistanceCache(g)
+        )
+        pointwise = dict(zip(config.goodscale_radii, ratios))
+        for R, (ratio, witness) in pointwise.items():
+            obs = ScaleObservables(R, volumes[R], complement[R], ratio, witness)
+            goodscale[R] = [
+                evaluate_good_scale(obs, lam, volume_growth, resistance_growth)
+                for lam in config.tolerance_grid
+            ]
 
     exit_exact = {
         R: mean_exit_time_exact(g, origin, R, metric) for R in config.radius_grid
@@ -169,6 +170,7 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
         "volumes": volumes,
         "complement": complement,
         "pointwise": pointwise,
+        "goodscale": goodscale,
         "exit_exact": exit_exact,
         "kernel": kernel_rows,
         "contaminated_from": contaminated_from,
@@ -331,22 +333,10 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
         fractions: dict[int, list[float]] = {}
         decay: dict[int, dict] = {}
         for R in config.goodscale_radii:
-            members = []
-            for lam in config.tolerance_grid:
-                count = 0
-                for res in results:
-                    obs = ScaleObservables(
-                        R,
-                        res["volumes"][R],
-                        res["complement"][R],
-                        res["pointwise"][R][0],
-                        res["pointwise"][R][1],
-                    )
-                    report = evaluate_good_scale(
-                        obs, lam, volume_growth, resistance_growth
-                    )
-                    count += not report.member
-                members.append(count / n_graphs)
+            members = [
+                sum(not res["goodscale"][R][j].member for res in results) / n_graphs
+                for j in range(len(config.tolerance_grid))
+            ]
             fractions[R] = members
             fit = failure_decay_fit(config.tolerance_grid, members, n_graphs)
             decay[R] = {"rate": fit.rate, "floored": fit.floored}
@@ -488,26 +478,16 @@ def run(
     )
 
     summary = build_summary(config, results)
-    volume_growth, resistance_growth = growth_functions(config)
     if config.goodscale_radii:
-        rows = []
-        for res in results:
-            for R in config.goodscale_radii:
-                obs = ScaleObservables(
-                    R,
-                    res["volumes"][R],
-                    res["complement"][R],
-                    res["pointwise"][R][0],
-                    res["pointwise"][R][1],
-                )
-                for lam in config.tolerance_grid:
-                    rep = evaluate_good_scale(obs, lam, volume_growth, resistance_growth)
-                    rows.append(
-                        (
-                            res["index"], R, lam, rep.member,
-                            rep.volume_ok, rep.resistance_ok, rep.pointwise_ok,
-                        )
-                    )
+        rows = [
+            (
+                res["index"], R, lam, rep.member,
+                rep.volume_ok, rep.resistance_ok, rep.pointwise_ok,
+            )
+            for res in results
+            for R in config.goodscale_radii
+            for lam, rep in zip(config.tolerance_grid, res["goodscale"][R])
+        ]
         _write_csv(
             obs_dir / "goodscale.csv",
             "graph,R,lambda,member,volume_ok,resistance_ok,pointwise_ok",

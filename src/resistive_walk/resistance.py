@@ -1,10 +1,11 @@
 """Effective resistance, killed Green kernels, and line projections.
 
-The Dirichlet problems are solved with Jacobi-preconditioned conjugate
-gradients on the grounded Laplacian.  Solves stop at relative residual
-1e-10 and fail loudly after 50 * n_vertices iterations.  Pairwise
-resistances from the origin are batched through one sparse LU
-factorization per graph.
+Every Dirichlet problem here -- the unit potential between two vertex
+sets, a killed Green row, and the two-point resistances from the marked
+vertex -- is a linear system in the Laplacian D - W restricted to the
+free vertices.  One helper factors that restriction once with a sparse
+LU decomposition and checks the relative residual of every solve against
+1e-10; a failed factorization or a larger residual raises SolverError.
 """
 
 from __future__ import annotations
@@ -13,62 +14,63 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix, diags
+from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from .errors import InvalidArgumentError, SolverError
 from .graph import Graph
 
 RESIDUAL_TOL = 1e-10
-ITERATION_FACTOR = 50
+# columns per residual check: bounds the temporaries of a blocked solve
+_CHECK_COLUMNS = 8
+# right-hand sides per blocked solve of pair resistances
+_PAIR_COLUMNS = 128
 
 
-def _pcg(
-    apply_a: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    inv_diag: np.ndarray,
-    max_iterations: int,
-    rtol: float = RESIDUAL_TOL,
-) -> tuple[np.ndarray, int, float]:
-    """Preconditioned CG; returns (solution, iterations, relative residual)."""
-    b_norm = float(np.linalg.norm(b))
-    x = np.zeros_like(b)
-    if b_norm == 0.0:
-        return x, 0, 0.0
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    for iteration in range(1, max_iterations + 1):
-        ap = apply_a(p)
-        alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if float(np.linalg.norm(r)) <= rtol * b_norm:
-            # recursion residual can drift; confirm with the true residual
-            true_r = b - apply_a(x)
-            true_norm = float(np.linalg.norm(true_r))
-            if true_norm <= rtol * b_norm:
-                return x, iteration, true_norm / b_norm
-            r = true_r
-        z = inv_diag * r
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    raise SolverError(
-        f"conjugate gradient did not reach residual {rtol:g} "
-        f"within {max_iterations} iterations"
-    )
+def _grounded_solver(
+    g: Graph, free: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
+    """Factor (D - W) restricted to the index set `free`; return a checked solve.
 
-
-def _weighted_degree(g: Graph) -> np.ndarray:
+    The solve takes a right-hand side vector or column block and returns
+    the solution with its largest relative residual.
+    """
     adj = g.adjacency()
-    return np.asarray(adj.sum(axis=1)).ravel()
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    lap = (diags(deg[free]) - adj[free][:, free]).tocsc()
+    try:
+        lu = splu(lap)
+    except RuntimeError as exc:
+        raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+
+    def solve(rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        x = lu.solve(rhs)
+        rhs_cols, x_cols = rhs.reshape(rhs.shape[0], -1), x.reshape(x.shape[0], -1)
+        worst = [0.0]
+        for j in range(0, rhs_cols.shape[1], _CHECK_COLUMNS):
+            b = rhs_cols[:, j:j + _CHECK_COLUMNS]
+            r = lap @ x_cols[:, j:j + _CHECK_COLUMNS]
+            r -= b
+            rr = np.einsum("ij,ij->j", r, r)
+            bb = np.maximum(np.einsum("ij,ij->j", b, b), np.finfo(float).tiny)
+            worst.append(np.sqrt(np.max(rr / bb)))
+        residual = float(np.max(worst))  # NaN propagates and fails the check
+        if not residual <= RESIDUAL_TOL:
+            raise SolverError(
+                f"direct solve missed residual {RESIDUAL_TOL:g} (got {residual:g})"
+            )
+        return x, residual
+
+    return solve
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Solved Dirichlet potential: 1 on the source set, 0 on the sink set."""
+    """Solved Dirichlet potential: 1 on the source set, 0 on the sink set.
+
+    The solve is direct, so `iterations` is always 0; `residual` is the
+    measured relative residual of that solve.
+    """
 
     labels: np.ndarray
     values: np.ndarray
@@ -83,42 +85,32 @@ class Potential:
         return float(self.values[i])
 
 
-def _index_sets(g: Graph, A: Sequence[int], B: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    ia = np.unique(g.indices(list(A)))
-    ib = np.unique(g.indices(list(B)))
-    if ia.size == 0 or ib.size == 0:
+def _set_masks(g: Graph, A: Sequence[int], B: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex masks of A and B, checked to be nonempty and disjoint."""
+    in_a = np.zeros(g.n_vertices, dtype=bool)
+    in_b = np.zeros(g.n_vertices, dtype=bool)
+    in_a[g.indices(A)] = True
+    in_b[g.indices(B)] = True
+    if not in_a.any() or not in_b.any():
         raise InvalidArgumentError("A and B must be nonempty")
-    if np.intersect1d(ia, ib).size:
+    if np.any(in_a & in_b):
         raise InvalidArgumentError("A and B must be disjoint")
-    return ia, ib
+    return in_a, in_b
 
 
 def dirichlet_potential(g: Graph, A: Sequence[int], B: Sequence[int]) -> Potential:
     """Unit-voltage potential between vertex sets A (held at 1) and B (at 0)."""
-    ia, ib = _index_sets(g, A, B)
-    n = g.n_vertices
-    adj = g.adjacency()
-    deg = _weighted_degree(g)
-    f = np.zeros(n)
-    f[ia] = 1.0
-    interior = np.setdiff1d(np.arange(n), np.concatenate([ia, ib]))
-    iterations = 0
+    in_a, in_b = _set_masks(g, A, B)
+    f = in_a.astype(float)
+    interior = np.flatnonzero(~(in_a | in_b))
     residual = 0.0
     if interior.size:
-        sub = adj[interior][:, interior].tocsr()
-        diag = deg[interior]
-        rhs = np.asarray(adj[interior][:, ia].sum(axis=1)).ravel()
-
-        def apply_a(x: np.ndarray) -> np.ndarray:
-            return diag * x - sub @ x
-
-        sol, iterations, residual = _pcg(
-            apply_a, rhs, 1.0 / diag, ITERATION_FACTOR * n
-        )
-        f[interior] = sol
+        coupling = g.adjacency()[interior][:, np.flatnonzero(in_a)]
+        rhs = np.asarray(coupling.sum(axis=1)).ravel()
+        f[interior], residual = _grounded_solver(g, interior)(rhs)
     df = f[g.bond_u] - f[g.bond_v]
     energy = float(np.sum(g.bond_c * df * df))
-    return Potential(g.labels, f, energy, iterations, residual)
+    return Potential(g.labels, f, energy, 0, residual)
 
 
 def effective_resistance(g: Graph, A: Sequence[int], B: Sequence[int]) -> float:
@@ -153,24 +145,16 @@ def green_row(g: Graph, domain: Sequence[int], x: int) -> GreenRow:
     Entry y is the expected number of visits to y before the walk from x
     leaves the domain, per unit of mu_y.
     """
-    idx = np.unique(g.indices(list(domain)))
+    idx = np.unique(g.indices(domain))
     if idx.size == g.n_vertices:
         raise InvalidArgumentError("domain must be a proper subset of the vertices")
     xi = g.index(x)
     pos = int(np.searchsorted(idx, xi))
     if pos >= idx.size or idx[pos] != xi:
         raise InvalidArgumentError("x must lie in the domain")
-    adj = g.adjacency()
-    deg = _weighted_degree(g)
-    sub = adj[idx][:, idx].tocsr()
-    diag = deg[idx]
     rhs = np.zeros(idx.size)
     rhs[pos] = 1.0
-
-    def apply_a(v: np.ndarray) -> np.ndarray:
-        return diag * v - sub @ v
-
-    sol, _, _ = _pcg(apply_a, rhs, 1.0 / diag, ITERATION_FACTOR * g.n_vertices)
+    sol, _ = _grounded_solver(g, idx)(rhs)
     return GreenRow(g.labels[idx], int(x), sol)
 
 
@@ -188,30 +172,61 @@ class OriginResistanceCache:
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
-        n = g.n_vertices
-        keep = np.setdiff1d(np.arange(n), [g.index(g.marked)])
-        adj = g.adjacency()
-        deg = _weighted_degree(g)
-        lap = diags(deg[keep]) - adj[keep][:, keep]
-        self._keep = keep
-        self._lu = splu(csc_matrix(lap))
-        self._known: dict[int, float] = {g.index(g.marked): 0.0}
+        ground = g.index(g.marked)
+        self._keep = np.delete(np.arange(g.n_vertices), ground)
+        self._solve = _grounded_solver(g, self._keep)
+        self._known = np.full(g.n_vertices, np.nan)
+        self._known[ground] = 0.0
 
     def pair_resistance(self, labels: Sequence[int]) -> np.ndarray:
         """R_eff(marked, y) for each label, in the given order."""
-        g = self.graph
-        targets = [g.index(lb) for lb in labels]
-        missing = sorted(set(t for t in targets if t not in self._known))
-        if missing:
-            rows = np.searchsorted(self._keep, missing)
-            for start in range(0, len(missing), 128):
-                chunk = rows[start:start + 128]
-                rhs = np.zeros((self._keep.size, chunk.size))
-                rhs[chunk, np.arange(chunk.size)] = 1.0
-                sols = self._lu.solve(rhs)
-                for j, t in enumerate(missing[start:start + 128]):
-                    self._known[t] = float(sols[chunk[j], j])
-        return np.asarray([self._known[t] for t in targets])
+        targets = self.graph.indices(labels)
+        missing = np.unique(targets[np.isnan(self._known[targets])])
+        rows = np.searchsorted(self._keep, missing)
+        for start in range(0, missing.size, _PAIR_COLUMNS):
+            chunk = rows[start:start + _PAIR_COLUMNS]
+            cols = np.arange(chunk.size)
+            rhs = np.zeros((self._keep.size, chunk.size))
+            rhs[chunk, cols] = 1.0
+            sols, _ = self._solve(rhs)
+            self._known[missing[start:start + _PAIR_COLUMNS]] = sols[chunk, cols]
+        return self._known[targets]
+
+
+def max_pointwise_ratios(
+    g: Graph,
+    radii: Sequence[int],
+    metric: str = "line",
+    resistance_growth: Callable[[float], float] | None = None,
+    cache: OriginResistanceCache | None = None,
+) -> list[tuple[float, int | None]]:
+    """Per radius R: the worst pointwise ratio in the ball and its witness.
+
+    The ratio is max over y != marked with d(marked, y) < R of
+    R_eff(marked, y) / r(d(marked, y)) for the growth r (identity when
+    omitted); the witness is the first maximizing label in label order.
+    A ball holding only the marked vertex gives (0.0, None).  All pair
+    resistances come from one `pair_resistance` call over the largest ball.
+    """
+    dist = g.distances_from(g.marked, metric)
+    sel = (dist < max(radii)) & (g.labels != g.marked)
+    if not sel.any():
+        return [(0.0, None) for _ in radii]
+    if cache is None:
+        cache = OriginResistanceCache(g)
+    labels, d = g.labels[sel], dist[sel]
+    r_fun = resistance_growth if resistance_growth is not None else float
+    denom = np.asarray([r_fun(float(x)) for x in d])
+    ratios = cache.pair_resistance(labels) / denom
+    out: list[tuple[float, int | None]] = []
+    for R in radii:
+        inside = d < R
+        if inside.any():
+            k = int(np.argmax(np.where(inside, ratios, -np.inf)))
+            out.append((float(ratios[k]), int(labels[k])))
+        else:
+            out.append((0.0, None))
+    return out
 
 
 @dataclass(frozen=True)
@@ -239,25 +254,18 @@ def resistance_profile(
         raise InvalidArgumentError("radii must be positive integers")
     for R in radii:
         g.check_probe_radius(R)
-    if cache is None:
-        cache = OriginResistanceCache(g)
-    r_fun = resistance_growth if resistance_growth is not None else float
     dist = g.distances_from(g.marked, metric)
-    ball_big = g.labels[(dist < max(radii)) & (g.labels != g.marked)]
-    d_big = dist[(dist < max(radii)) & (g.labels != g.marked)]
-    pair = cache.pair_resistance(ball_big)
-    ratios = pair / np.asarray([r_fun(float(d)) for d in d_big])
-    rows = []
+    complements = []
     for R in radii:
-        inside = g.labels[dist < R]
         outside = g.labels[dist >= R]
         if outside.size == 0:
             raise InvalidArgumentError(f"ball of radius {R} covers the whole graph")
-        reff = effective_resistance(g, [g.marked], outside)
-        mask = d_big < R
-        ratio = float(ratios[mask].max()) if mask.any() else 0.0
-        rows.append(ProfileRow(R, reff, ratio))
-    return rows
+        complements.append(effective_resistance(g, [g.marked], outside))
+    ratios = max_pointwise_ratios(g, radii, metric, resistance_growth, cache)
+    return [
+        ProfileRow(R, reff, ratio)
+        for R, reff, (ratio, _) in zip(radii, complements, ratios)
+    ]
 
 
 # -- long-bond projection ---------------------------------------------------

@@ -19,7 +19,11 @@ from scipy.optimize import minimize_scalar
 
 from .errors import InvalidArgumentError
 from .graph import Graph
-from .resistance import OriginResistanceCache, effective_resistance
+from .resistance import (
+    OriginResistanceCache,
+    effective_resistance,
+    max_pointwise_ratios,
+)
 
 # max of R / ((e+R) log(e+R)), the lever arm of the log factor on the
 # local log-log slope
@@ -125,23 +129,9 @@ def scale_observables(
         raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
     volume = float(g.measure[inside].sum())
     reff = effective_resistance(g, [g.marked], outside_labels)
-    others = inside & (g.labels != g.marked)
-    witness: int | None = None
-    max_ratio = 0.0
-    if others.any():
-        if cache is None:
-            cache = OriginResistanceCache(g)
-        pair = cache.pair_resistance(g.labels[others])
-        denom = np.asarray(
-            [
-                resistance_growth(float(d)) if resistance_growth else float(d)
-                for d in dist[others]
-            ]
-        )
-        ratios = pair / denom
-        k = int(np.argmax(ratios))
-        max_ratio = float(ratios[k])
-        witness = int(g.labels[others][k])
+    max_ratio, witness = max_pointwise_ratios(
+        g, [radius], metric, resistance_growth, cache
+    )[0]
     return ScaleObservables(int(radius), volume, reff, max_ratio, witness)
 
 

@@ -121,9 +121,8 @@ def mean_exit_time_exact(g: Graph, origin: int, radius: int, metric: str = "grap
     if ball.size == g.n_vertices:
         raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
     row = green_row(g, ball, origin)
-    _, mu = _transition(g)
-    idx = g.indices(row.domain)
-    return float(row.values @ mu[idx])
+    mu = np.asarray(g.adjacency().sum(axis=1)).ravel()
+    return float(row.values @ mu[g.indices(row.domain)])
 
 
 @dataclass(frozen=True)

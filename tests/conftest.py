@@ -1,5 +1,6 @@
 import pytest
 
+from resistive_walk import resistance
 from resistive_walk.generate import LongRangeParams, fixture, generate_long_range
 
 
@@ -36,3 +37,20 @@ mc_exit_radii = 4
 @pytest.fixture(scope="session")
 def mini_config_text():
     return MINI_CONFIG
+
+
+class _WrongLU:
+    """A factorization whose solves come back scaled by 1.5."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, rhs):
+        return 1.5 * self._lu.solve(rhs)
+
+
+@pytest.fixture()
+def wrong_solves(monkeypatch):
+    """Make every sparse LU factorization in `resistance` return wrong solutions."""
+    real = resistance.splu
+    monkeypatch.setattr(resistance, "splu", lambda a: _WrongLU(real(a)))

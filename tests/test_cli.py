@@ -33,6 +33,12 @@ def test_resistance_command(line_file, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(2.0, rel=1e-9)
 
 
+def test_resistance_command_exits_3_on_a_bad_solve(line_file, capsys, wrong_solves):
+    assert main(["resistance", str(line_file), "--source", "0",
+                 "--target=-4,4"]) == 3
+    assert "solver error" in capsys.readouterr().err
+
+
 def test_profile_command(line_file, capsys):
     assert main(["profile", str(line_file), "--radii", "2,4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -76,6 +76,22 @@ def test_index_lookup_errors_on_missing_label():
         g.index(17)
 
 
+def test_indices_keep_order_and_duplicates():
+    g = Graph([(-3, 0, 1.0), (0, 5, 1.0), (5, 9, 1.0)], marked=0)
+    assert g.indices([9, -3, 5, 9]).tolist() == [3, 0, 2, 3]
+    got = g.indices(np.asarray([0, 0, 5]))
+    assert got.dtype == np.int64 and got.tolist() == [1, 1, 2]
+    for empty in ([], np.asarray([], dtype=np.int64)):
+        assert g.indices(empty).size == 0
+
+
+@pytest.mark.parametrize("labels, missing", [([0, 4, 7], 4), ([10], 10), ([-4, 5], -4)])
+def test_indices_name_the_first_missing_label(labels, missing):
+    g = Graph([(-3, 0, 1.0), (0, 5, 1.0), (5, 9, 1.0)], marked=0)
+    with pytest.raises(InvalidArgumentError, match=f"vertex {missing} is not"):
+        g.indices(labels)
+
+
 def test_parallel_bonds_merge_in_csr():
     g = Graph([(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0)], marked=0)
     assert g.n_bonds == 3

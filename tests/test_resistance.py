@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from resistive_walk.errors import InvalidArgumentError
+from resistive_walk import resistance
+from resistive_walk.errors import InvalidArgumentError, SolverError
 from resistive_walk.generate import LongRangeParams, fixture, generate_long_range
 from resistive_walk.oracle import dense_green, dense_resistance
 from resistive_walk.resistance import (
@@ -10,10 +11,12 @@ from resistive_walk.resistance import (
     dirichlet_potential,
     effective_resistance,
     green_row,
+    max_pointwise_ratios,
     project_long_bonds,
     projected_complement_resistance,
     resistance_profile,
 )
+from resistive_walk.scaling import GrowthFunction
 
 FIXTURES = [
     ("path", 3),
@@ -115,6 +118,49 @@ def test_origin_cache_matches_pair_resistances(lrp128):
             effective_resistance(lrp128, [0], [y]), rel=1e-9
         )
     assert cache.pair_resistance([0]) == pytest.approx([0.0])
+
+
+@pytest.mark.parametrize("half_width, tail, seed", [(24, 2.2, 1), (48, 3.0, 2), (99, 3.5, 3)])
+def test_pointwise_ratios_match_dense_oracle(half_width, tail, seed):
+    g = generate_long_range(LongRangeParams(half_width, 1.0, tail, seed=seed))
+    growth = GrowthFunction(0.8, 0.5)
+    radii = [1, 2, half_width // 8, half_width // 4]
+    got = max_pointwise_ratios(g, radii, "line", growth)
+    dist = g.distances_from(0, "line")
+    for R, (ratio, witness) in zip(radii, got):
+        ys = [int(y) for y, d in zip(g.labels, dist) if 0 < d < R]
+        if not ys:
+            assert (ratio, witness) == (0.0, None)
+            continue
+        dense = np.asarray(
+            [dense_resistance(g, [0], [y]) / growth(abs(y)) for y in ys]
+        )
+        assert ratio == pytest.approx(dense.max(), rel=1e-9)
+        assert dense[ys.index(witness)] == pytest.approx(dense.max(), rel=1e-9)
+        runner_up = np.sort(dense)[-2] if dense.size > 1 else -np.inf
+        if runner_up < dense.max() * (1 - 1e-8):
+            assert witness == ys[int(np.argmax(dense))]
+
+
+def test_wrong_solution_raises_solver_error(wrong_solves, lrp128):
+    with pytest.raises(SolverError, match="residual"):
+        effective_resistance(lrp128, [0], [40])
+    with pytest.raises(SolverError, match="residual"):
+        green_row(lrp128, list(range(-6, 7)), 0)
+    cache = OriginResistanceCache(lrp128)
+    with pytest.raises(SolverError, match="residual"):
+        cache.pair_resistance([-3, 5])
+
+
+def test_failed_factorization_raises_solver_error(monkeypatch, lrp128):
+    def singular(a):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(resistance, "splu", singular)
+    with pytest.raises(SolverError, match="singular"):
+        effective_resistance(lrp128, [0], [40])
+    with pytest.raises(SolverError, match="singular"):
+        OriginResistanceCache(lrp128)
 
 
 def test_profile_complement_resistances(line64):
