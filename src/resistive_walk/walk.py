@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix, diags
 from .errors import InvalidArgumentError, SolverError
 from .generate import mix_seed
 from .graph import Graph
-from .resistance import green_row
+from .resistance import _weighted_degree, green_row
 
 CONTAMINATION_LEVEL = 1e-3
 _CONSERVATION_TOL = 1e-9
@@ -61,9 +61,8 @@ class HeatKernelTable:
 
 
 def _transition(g: Graph) -> tuple[csr_matrix, np.ndarray]:
-    adj = g.adjacency()
-    mu = np.asarray(adj.sum(axis=1)).ravel()
-    return (adj @ diags(1.0 / mu)).tocsr(), mu
+    mu = _weighted_degree(g)
+    return (g.adjacency() @ diags(1.0 / mu)).tocsr(), mu
 
 
 def heat_kernel_exact(
@@ -121,8 +120,7 @@ def mean_exit_time_exact(g: Graph, origin: int, radius: int, metric: str = "grap
     if ball.size == g.n_vertices:
         raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
     row = green_row(g, ball, origin)
-    mu = np.asarray(g.adjacency().sum(axis=1)).ravel()
-    return float(row.values @ mu[g.indices(row.domain)])
+    return float(row.values @ _weighted_degree(g)[g.indices(row.domain)])
 
 
 @dataclass(frozen=True)

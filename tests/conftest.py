@@ -39,18 +39,29 @@ def mini_config_text():
     return MINI_CONFIG
 
 
-class _WrongLU:
-    """A factorization whose solves come back scaled by 1.5."""
+class _ScaledLU:
+    """A factorization whose solves come back scaled by `scale`."""
 
-    def __init__(self, lu):
+    def __init__(self, lu, scale):
         self._lu = lu
+        self._scale = scale
 
     def solve(self, rhs):
-        return 1.5 * self._lu.solve(rhs)
+        return self._scale * self._lu.solve(rhs)
+
+
+def _scale_solves(monkeypatch, scale):
+    real = resistance.splu
+    monkeypatch.setattr(resistance, "splu", lambda a: _ScaledLU(real(a), scale))
 
 
 @pytest.fixture()
 def wrong_solves(monkeypatch):
-    """Make every sparse LU factorization in `resistance` return wrong solutions."""
-    real = resistance.splu
-    monkeypatch.setattr(resistance, "splu", lambda a: _WrongLU(real(a)))
+    """Make every sparse LU solve in `resistance` 50% off: one refinement step cannot mend it."""
+    _scale_solves(monkeypatch, 1.5)
+
+
+@pytest.fixture()
+def inexact_solves(monkeypatch):
+    """Make every sparse LU solve in `resistance` 1e-6 off: one refinement step mends it."""
+    _scale_solves(monkeypatch, 1 + 1e-6)

@@ -77,6 +77,7 @@ def test_potential_interpolates_between_sets():
     assert pot.value(2) == pytest.approx(0.5, rel=1e-10)
     assert pot.energy > 0
     assert pot.residual <= 1e-10
+    assert pot.iterations == 1
 
 
 def test_requires_disjoint_nonempty_sets():
@@ -150,6 +151,18 @@ def test_wrong_solution_raises_solver_error(wrong_solves, lrp128):
     cache = OriginResistanceCache(lrp128)
     with pytest.raises(SolverError, match="residual"):
         cache.pair_resistance([-3, 5])
+
+
+def test_refinement_step_mends_an_inexact_solve(inexact_solves):
+    g = generate_long_range(LongRangeParams(48, 1.0, 3.0, seed=2))
+    pot = dirichlet_potential(g, [0], [20])
+    assert pot.iterations == 2
+    assert pot.residual <= 1e-10
+    assert 1.0 / pot.energy == pytest.approx(dense_resistance(g, [0], [20]), rel=1e-9)
+    domain = list(range(-6, 7))
+    assert green_row(g, domain, 0).values == pytest.approx(dense_green(g, domain, 0), rel=1e-9)
+    got = OriginResistanceCache(g).pair_resistance([-3, 5])
+    assert got == pytest.approx([dense_resistance(g, [0], [y]) for y in (-3, 5)], rel=1e-9)
 
 
 def test_failed_factorization_raises_solver_error(monkeypatch, lrp128):
