@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InvalidArgumentError
 from .graph import Graph
@@ -25,15 +24,22 @@ from .resistance import (
     max_pointwise_ratios,
 )
 
-# max of R / ((e+R) log(e+R)), the lever arm of the log factor on the
-# local log-log slope
-_H_MAX = float(
-    -minimize_scalar(
-        lambda R: -R / ((math.e + R) * math.log(math.e + R)),
-        bounds=(0.5, 50.0),
-        method="bounded",
-    ).fun
-)
+
+def _log_lever_max() -> float:
+    """max over R > 0 of R / ((e+R) log(e+R)).
+
+    This is the lever arm of the log factor on the local log-log slope.
+    With u = e + R the maximiser solves u = e (1 + log u).  The left side
+    minus the right is convex and increasing past the root, so Newton's
+    method from u = 10 falls monotonically onto it.
+    """
+    u = 10.0
+    for _ in range(6):
+        u -= (u - math.e * (1.0 + math.log(u))) / (1.0 - math.e / u)
+    return (u - math.e) / (u * math.log(u))
+
+
+_H_MAX = _log_lever_max()
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,12 @@
 
 The walk moves from x to y with probability conductance(x,y)/mu_x.  Heat
 kernel values p_n(x,y) = P(X_n = y)/mu_y come from exact sparse
-transition products; a second, killed product tracks the probability of
-having touched the window boundary, which flags truncation effects.
+transition products restricted to the light cone: after t steps the walk
+sits within t hops of its start, so with vertices sorted by hop distance
+each step multiplies only the leading block it can reach.  A second,
+killed product tracks the probability of having touched the window
+boundary, which flags truncation effects; it starts at the first step
+that can reach the boundary, and the contact is exactly 0 before it.
 Monte Carlo trajectories draw from one dedicated stream per trajectory
 index, so results do not depend on batching or scheduling.
 """
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import diags
 
 from .errors import InvalidArgumentError, SolverError
 from .generate import mix_seed
@@ -30,9 +34,10 @@ class HeatKernelTable:
     """Exact kernel series from one origin.
 
     origin_series[n] is p_n(origin, origin); boundary_contact[n] is the
-    probability of having visited a window-edge vertex by step n (zero for
-    graphs that are not truncations).  snapshots maps selected steps to
-    the full row p_n(origin, .), aligned with labels.
+    probability of having visited a window-edge vertex by step n.  It is
+    exactly 0 for n below the hop distance from the origin to the window
+    edge, and for graphs that are not truncations.  snapshots maps
+    selected steps to the full row p_n(origin, .), aligned with labels.
     """
 
     origin: int
@@ -60,56 +65,78 @@ class HeatKernelTable:
         return float(self.origin_series[n] + self.origin_series[n + 1])
 
 
-def _transition(g: Graph) -> tuple[csr_matrix, np.ndarray]:
-    mu = _weighted_degree(g)
-    return (g.adjacency() @ diags(1.0 / mu)).tocsr(), mu
-
-
 def heat_kernel_exact(
     g: Graph,
     origin: int,
     n_steps: int,
     snapshots: Sequence[int] = (),
 ) -> HeatKernelTable:
-    """Run n_steps exact transition products from `origin`."""
+    """Run n_steps exact transition products from `origin` on the light cone.
+
+    After t steps the walk sits on vertices at most t hops from the origin,
+    so with the vertices sorted by hop distance each step multiplies only
+    the leading k x k block of the transition matrix, k >= |{hop <= t}|.
+    The block is regrown by doubling k; once it holds every vertex the
+    step is the full product.  The killed product starts at the first step
+    that can reach the window edge: before it, boundary contact is exactly 0.
+    """
     if n_steps < 0:
         raise InvalidArgumentError("n_steps must be nonnegative")
-    step_to_origin, mu = _transition(g)
-    oi = g.index(origin)
-    n = g.n_vertices
     wanted = set(int(s) for s in snapshots)
     bad = [s for s in wanted if not 0 <= s <= n_steps]
     if bad:
         raise InvalidArgumentError(f"snapshot steps {bad} outside 0..{n_steps}")
+    adj = g.adjacency()
+    n = g.n_vertices
+    hops = g.distances_from(origin, "graph")
+    order = np.argsort(hops, kind="stable")  # the origin comes first
+    reach = np.cumsum(np.bincount(hops))  # reach[h] = |{hop <= h}|
+    mu = _weighted_degree(g)[order]
 
-    boundary = np.zeros(n, dtype=bool)
+    # window-edge vertices, as ascending positions in hop order, and the
+    # first step at which the walk can stand on one
+    edge = np.zeros(0, dtype=np.int64)
     if g.truncated:
-        lo, hi = g.window
-        boundary = (g.labels == lo) | (g.labels == hi)
+        edge = np.flatnonzero(np.isin(g.labels[order], g.window))
+    edge_step = int(hops[order[edge[0]]]) if edge.size else n_steps + 1
 
-    q = np.zeros(n)
-    q[oi] = 1.0
-    killed = q.copy()
-    killed[boundary] = 0.0
+    def label_order(x: np.ndarray) -> np.ndarray:
+        full = np.zeros(n)
+        full[order[: x.size]] = x / mu[: x.size]
+        return full
 
+    k = 1
+    block = None
+    q = np.ones(1)
+    killed = None
     series = np.empty(n_steps + 1)
-    contact = np.empty(n_steps + 1)
-    series[0] = q[oi] / mu[oi]
-    contact[0] = 1.0 - killed.sum()
+    contact = np.zeros(n_steps + 1)
     snaps: dict[int, np.ndarray] = {}
-    if 0 in wanted:
-        snaps[0] = q / mu
-    for t in range(1, n_steps + 1):
-        q = step_to_origin @ q
-        total = q.sum()
-        if abs(total - 1.0) > _CONSERVATION_TOL:
-            raise SolverError(f"probability mass drifted to {total!r} at step {t}")
-        killed = step_to_origin @ killed
-        killed[boundary] = 0.0
-        series[t] = q[oi] / mu[oi]
-        contact[t] = 1.0 - killed.sum()
+    for t in range(n_steps + 1):
+        if t:
+            need = int(reach[min(t, reach.size - 1)])
+            if need > k:
+                grown = min(n, max(need, 2 * k))
+                cone = order[:grown]
+                block = (adj[cone][:, cone] @ diags(1.0 / mu[:grown])).tocsr()
+                q = np.concatenate([q, np.zeros(grown - k)])
+                if killed is not None:
+                    killed = np.concatenate([killed, np.zeros(grown - k)])
+                k = grown
+            q = block @ q
+            total = q.sum()
+            if abs(total - 1.0) > _CONSERVATION_TOL:
+                raise SolverError(f"probability mass drifted to {total!r} at step {t}")
+            if killed is not None:
+                killed = block @ killed
+        if t == edge_step:
+            killed = q.copy()
+        if killed is not None:
+            killed[edge[edge < k]] = 0.0
+            contact[t] = 1.0 - killed.sum()
+        series[t] = q[0] / mu[0]
         if t in wanted:
-            snaps[t] = q / mu
+            snaps[t] = label_order(q)
     return HeatKernelTable(int(origin), n_steps, g.labels, series, contact, snaps)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from resistive_walk.errors import InvalidArgumentError
 from resistive_walk.generate import fixture
 from resistive_walk.scaling import (
+    _H_MAX,
     GrowthFunction,
     ScaleObservables,
     bootstrap_mean_ci,
@@ -55,6 +56,17 @@ def test_local_slope_bounds_bracket_local_slope():
     lo, hi = v.local_slope_bounds()
     for radius in (0.5, 1.0, 7.0, 100.0, 1e6):
         assert lo - 1e-12 <= v.local_slope(radius) <= hi + 1e-12
+
+
+def test_log_lever_max_matches_numerical_maximum():
+    from scipy.optimize import minimize_scalar
+
+    best = minimize_scalar(
+        lambda R: -R / ((math.e + R) * math.log(math.e + R)),
+        bounds=(0.5, 50.0),
+        method="bounded",
+    )
+    assert _H_MAX == pytest.approx(-best.fun, rel=1e-12)
 
 
 def test_displacement_scale_square_root():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from resistive_walk.errors import InvalidArgumentError
+from resistive_walk import walk
+from resistive_walk.errors import InvalidArgumentError, SolverError
 from resistive_walk.generate import LongRangeParams, fixture, generate_long_range
 from resistive_walk.oracle import dense_heat_kernel, dense_mean_exit
 from resistive_walk.walk import heat_kernel_exact, mean_exit_time_exact, simulate
@@ -21,6 +22,61 @@ def test_kernel_snapshot_rows_match_oracle():
     oracle = dense_heat_kernel(g, 0, 6)
     assert table.snapshots[3] == pytest.approx(oracle[3], rel=1e-12)
     assert table.snapshots[6] == pytest.approx(oracle[6], rel=1e-12)
+
+
+def _dense_killed_contact(g, origin, n_steps):
+    """1 - P(no window-edge vertex visited by step t), by dense killed products."""
+    n = g.n_vertices
+    W = np.zeros((n, n))
+    np.add.at(W, (g.bond_u, g.bond_v), g.bond_c)
+    np.add.at(W, (g.bond_v, g.bond_u), g.bond_c)
+    P = W / W.sum(axis=1)[:, None]
+    edge = np.isin(g.labels, g.window)
+    q = np.zeros(n)
+    q[g.index(origin)] = 1.0
+    alive = np.where(edge, 0.0, q)
+    contact, first_hit = [1.0 - alive.sum()], None
+    for t in range(1, n_steps + 1):
+        q = q @ P
+        alive = np.where(edge, 0.0, alive @ P)
+        contact.append(1.0 - alive.sum())
+        if first_hit is None and q[edge].sum() > 0:
+            first_hit = t
+    return np.asarray(contact), first_hit
+
+
+@pytest.mark.parametrize(
+    "half_width,tail_exponent,seed", [(32, 2.2, 1), (48, 3.0, 2), (64, 3.5, 3)]
+)
+def test_light_cone_kernel_matches_dense_oracle(half_width, tail_exponent, seed):
+    g = generate_long_range(LongRangeParams(half_width, 1.0, tail_exponent, seed=seed))
+    rng = np.random.default_rng(seed)
+    origin = int(rng.integers(-half_width // 2, half_width // 2 + 1))
+    hops = g.distances_from(origin)
+    edge_step = int(hops[np.isin(g.labels, g.window)].min())
+    n_steps = 2 * edge_step  # the cone reaches the edge mid-run
+    steps = (0, 1, edge_step - 1, edge_step, n_steps)
+    table = heat_kernel_exact(g, origin, n_steps, snapshots=steps)
+
+    oracle = dense_heat_kernel(g, origin, n_steps)
+    np.testing.assert_allclose(
+        table.origin_series, oracle[:, g.index(origin)], rtol=1e-12, atol=1e-15
+    )
+    for t in steps:
+        np.testing.assert_allclose(table.snapshots[t], oracle[t], rtol=1e-12, atol=1e-15)
+
+    contact, first_hit = _dense_killed_contact(g, origin, n_steps)
+    assert first_hit == edge_step
+    np.testing.assert_allclose(table.boundary_contact, contact, rtol=0, atol=1e-12)
+    assert np.all(table.boundary_contact[:edge_step] == 0.0)
+    assert table.boundary_contact[edge_step] > 0.0
+
+
+def test_kernel_raises_when_mass_drifts(monkeypatch, lrp128):
+    real = walk._weighted_degree
+    monkeypatch.setattr(walk, "_weighted_degree", lambda g: 1.01 * real(g))
+    with pytest.raises(SolverError, match="mass drifted"):
+        heat_kernel_exact(lrp128, 0, 8)
 
 
 def test_line_return_probability():
