@@ -4,6 +4,18 @@ Window graphs live on labels -L..L with every nearest-neighbour bond
 present at conductance 1.  Pairs at distance n >= 2 are bonded
 independently with a model-specific probability, capped below 1 so the
 Bernoulli draw is always proper.
+
+The random stream is that of a plain loop over n = 2..2L drawing one
+binomial bond count per distance and, when it is nonzero, the bond
+positions with `choice`.  The generator draws the counts for a block of
+distances in one array call.  Most counts are zero; at the first nonzero
+entry j the bit-generator state saved before the block is restored and
+entries 0..j are redrawn, so the stream stands exactly where the loop
+would call `choice`.  The block doubles after each all-zero block and
+starts small again after a hit.  The probabilities come from the scalar
+`bond_probability`, because numpy's array `**` differs from Python's
+float power in the last ulp on some distances.  The bonds reach `Graph`
+as arrays, in the loop's order, through `Graph.from_arrays`.
 """
 
 from __future__ import annotations
@@ -20,6 +32,10 @@ _MASK64 = (1 << 64) - 1
 # Bernoulli probabilities are capped at 1 - 2^-32.
 PROBABILITY_CAP = 1.0 - 2.0 ** -32
 
+# Distances per array binomial call in `_generate_window`.
+_MIN_BLOCK = 16
+_MAX_BLOCK = 1 << 16
+
 
 def mix_seed(master_seed: int, index: int) -> int:
     """Derive the stream seed for ensemble member `index`.
@@ -34,10 +50,6 @@ def mix_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def ensemble_seeds(master_seed: int, count: int) -> list[int]:
-    return [mix_seed(master_seed, i) for i in range(count)]
-
-
 @dataclass(frozen=True)
 class LongRangeParams:
     """Polynomial-tail window: P(bond at distance n) = min(beta * n^-s, cap)."""
@@ -50,7 +62,9 @@ class LongRangeParams:
     def bond_probability(self, n: int) -> float:
         if n == 1:
             return 1.0
-        return min(self.beta * float(n) ** -self.tail_exponent, PROBABILITY_CAP)
+        p = self.beta * float(n) ** -self.tail_exponent
+        # min(p, cap) without the builtin's call overhead: one call per distance
+        return PROBABILITY_CAP if PROBABILITY_CAP < p else p
 
     def validate(self) -> None:
         if self.half_width < 2:
@@ -89,18 +103,37 @@ def _generate_window(params: LongRangeParams | ExpTailParams) -> Graph:
     params.validate()
     L = params.half_width
     rng = np.random.default_rng(params.seed)
-    bonds: list[tuple[int, int, float]] = [(x, x + 1, 1.0) for x in range(-L, L)]
     # For each distance the bond count is Binomial over the available left
     # endpoints and positions are a uniform subset, which reproduces the
     # independent-Bernoulli law pair by pair.
-    for n in range(2, 2 * L + 1):
-        p = params.bond_probability(n)
-        m = 2 * L + 1 - n
-        k = int(rng.binomial(m, p))
-        if k:
-            lefts = np.sort(rng.choice(m, size=k, replace=False))
-            bonds.extend((int(j) - L, int(j) - L + n, 1.0) for j in lefts)
-    return Graph(bonds, marked=0, window=(-L, L), truncated=True)
+    distance = np.arange(2, 2 * L + 1)
+    slots = 2 * L + 1 - distance
+    p = np.fromiter(map(params.bond_probability, range(2, 2 * L + 1)), float, distance.size)
+    u = [np.arange(-L, L)]
+    v = [np.arange(-L + 1, L + 1)]
+    i = 0
+    block = _MIN_BLOCK
+    while i < distance.size:
+        stop = min(i + block, distance.size)
+        state = rng.bit_generator.state
+        hits = np.flatnonzero(rng.binomial(slots[i:stop], p[i:stop]))
+        if not hits.size:
+            i = stop
+            block = min(2 * block, _MAX_BLOCK)
+            continue
+        # rewind and redraw through the first hit, as the scalar loop would
+        j = i + int(hits[0])
+        rng.bit_generator.state = state
+        k = int(rng.binomial(slots[i : j + 1], p[i : j + 1])[-1])
+        lefts = np.sort(rng.choice(int(slots[j]), size=k, replace=False))
+        u.append(lefts - L)
+        v.append(lefts - L + int(distance[j]))
+        i = j + 1
+        block = _MIN_BLOCK
+    u = np.concatenate(u)
+    return Graph.from_arrays(
+        u, np.concatenate(v), np.ones(u.size), marked=0, window=(-L, L), truncated=True
+    )
 
 
 def generate_long_range(params: LongRangeParams) -> Graph:
@@ -124,43 +157,40 @@ def fixture(name: str, size: int | None = None) -> Graph:
     heap-ordered labels, root 0.  ladder(n): 2 x n grid.  line(L): pure
     nearest-neighbour window on -L..L.
     """
+    window = None
     if name == "parallel_pair":
         if size is not None:
             raise InvalidArgumentError("parallel_pair takes no size")
-        return Graph([(0, 1, 1.0), (0, 1, 1.0)], marked=0)
-    if size is None or size < 1:
+        u, v = np.array([0, 0]), np.array([1, 1])
+    elif size is None or size < 1:
         raise InvalidArgumentError(f"fixture {name!r} needs a positive size")
-    if name == "path":
-        return Graph([(i, i + 1, 1.0) for i in range(size)], marked=0)
-    if name == "cycle":
+    elif name == "path":
+        u = np.arange(size)
+        v = u + 1
+    elif name == "cycle":
         if size < 3:
             raise InvalidArgumentError("cycle needs at least 3 vertices")
-        return Graph(
-            [(i, (i + 1) % size, 1.0) for i in range(size)], marked=0
-        )
-    if name == "binary_tree":
-        n = 2 ** (size + 1) - 1
-        bonds = []
-        for i in range(n):
-            for child in (2 * i + 1, 2 * i + 2):
-                if child < n:
-                    bonds.append((i, child, 1.0))
-        return Graph(bonds, marked=0)
-    if name == "ladder":
+        u = np.arange(size)
+        v = (u + 1) % size
+    elif name == "binary_tree":
+        # heap order: vertex i has children 2i+1 and 2i+2
+        v = np.arange(1, 2 ** (size + 1) - 1)
+        u = (v - 1) // 2
+    elif name == "ladder":
         if size < 2:
             raise InvalidArgumentError("ladder needs at least 2 rungs")
-        bonds = [(2 * i, 2 * i + 1, 1.0) for i in range(size)]
-        for i in range(size - 1):
-            bonds.append((2 * i, 2 * i + 2, 1.0))
-            bonds.append((2 * i + 1, 2 * i + 3, 1.0))
-        return Graph(bonds, marked=0)
-    if name == "line":
+        # rungs first, then the two rails interleaved rung by rung
+        rails = np.arange(2 * size - 2)
+        u = np.concatenate([np.arange(0, 2 * size, 2), rails])
+        v = np.concatenate([np.arange(1, 2 * size, 2), rails + 2])
+    elif name == "line":
         if size < 2:
             raise InvalidArgumentError("line needs half-width at least 2")
-        return Graph(
-            [(x, x + 1, 1.0) for x in range(-size, size)],
-            marked=0,
-            window=(-size, size),
-            truncated=True,
-        )
-    raise InvalidArgumentError(f"unknown fixture {name!r}")
+        u = np.arange(-size, size)
+        v = u + 1
+        window = (-size, size)
+    else:
+        raise InvalidArgumentError(f"unknown fixture {name!r}")
+    return Graph.from_arrays(
+        u, v, np.ones(len(u)), marked=0, window=window, truncated=window is not None
+    )

@@ -13,6 +13,7 @@ import os
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
@@ -44,6 +45,12 @@ class Graph:
     truncated : bool
         True for windows cut out of an infinite graph; probe radii are then
         restricted to a quarter of the window half-width.
+
+    `Graph.from_arrays` takes the bonds as three equal-length arrays
+    instead; the tuple constructor is a thin wrapper that turns the tuples
+    into those arrays, and both run one construction with the same checks.
+    A graph holds O(n + bonds) memory: the labels, the bond arrays, the
+    measure and the cached merged adjacency and distances.
     """
 
     __slots__ = (
@@ -60,17 +67,61 @@ class Graph:
         truncated: bool = False,
     ) -> None:
         triples = list(bonds)
-        if not triples:
+        self._build(
+            np.asarray([t[0] for t in triples], dtype=np.int64),
+            np.asarray([t[1] for t in triples], dtype=np.int64),
+            np.asarray([t[2] for t in triples], dtype=np.float64),
+            marked, window, measure, truncated,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        u: ArrayLike,
+        v: ArrayLike,
+        c: ArrayLike,
+        marked: int,
+        window: tuple[int, int] | None = None,
+        measure: dict[int, float] | None = None,
+        truncated: bool = False,
+    ) -> "Graph":
+        """Graph with bonds (u[i], v[i], c[i]), kept in that order.
+
+        The arrays are one-dimensional and of equal length; the graph keeps
+        its own copy of c.
+        """
+        g = cls.__new__(cls)
+        g._build(
+            np.asarray(u, dtype=np.int64),
+            np.asarray(v, dtype=np.int64),
+            np.array(c, dtype=np.float64),
+            marked, window, measure, truncated,
+        )
+        return g
+
+    def _build(
+        self,
+        u: np.ndarray,
+        v: np.ndarray,
+        c: np.ndarray,
+        marked: int,
+        window: tuple[int, int] | None,
+        measure: dict[int, float] | None,
+        truncated: bool,
+    ) -> None:
+        if not (u.ndim == v.ndim == c.ndim == 1 and u.size == v.size == c.size):
+            raise InvalidArgumentError("bond arrays u, v, c must be 1-D and of equal length")
+        if not c.size:
             raise InvalidArgumentError("a graph needs at least one bond")
-        u = np.asarray([t[0] for t in triples], dtype=np.int64)
-        v = np.asarray([t[1] for t in triples], dtype=np.int64)
-        c = np.asarray([t[2] for t in triples], dtype=np.float64)
         if np.any(u == v):
             raise InvalidArgumentError("self-loops are not allowed")
         if np.any(c <= 0) or not np.all(np.isfinite(c)):
             raise InvalidArgumentError("conductances must be positive and finite")
 
-        labels = np.unique(np.concatenate([u, v]))
+        # sorted distinct labels; a sort is several times faster here than
+        # numpy's hash-based unique
+        ends = np.sort(np.concatenate([u, v]))
+        labels = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
         self.labels = labels
         self.bond_u = np.searchsorted(labels, u).astype(np.int64)
         self.bond_v = np.searchsorted(labels, v).astype(np.int64)
@@ -229,10 +280,10 @@ class Graph:
 
     def with_bond(self, u: int, v: int, conductance: float = 1.0) -> "Graph":
         """A copy with one extra bond (labels may be new)."""
-        triples = list(self.bonds())
-        triples.append((int(u), int(v), float(conductance)))
-        return Graph(
-            triples,
+        return Graph.from_arrays(
+            np.append(self.labels[self.bond_u], int(u)),
+            np.append(self.labels[self.bond_v], int(v)),
+            np.append(self.bond_c, float(conductance)),
             marked=self.marked,
             window=None if not self.truncated else self.window,
             truncated=self.truncated,
@@ -288,7 +339,9 @@ def loads_edge_list(text: str) -> Graph:
     except (KeyError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed edge-list header: {lines[0]!r}") from exc
     truncated = bool(int(fields.get("truncated", "0")))
-    triples = []
+    u: list[int] = []
+    v: list[int] = []
+    c: list[float] = []
     for ln in lines[1:]:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
@@ -297,7 +350,9 @@ def loads_edge_list(text: str) -> Graph:
         if len(parts) != 3:
             raise InvalidArgumentError(f"malformed edge-list line: {ln!r}")
         try:
-            triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            u.append(int(parts[0]))
+            v.append(int(parts[1]))
+            c.append(float(parts[2]))
         except ValueError as exc:
             raise InvalidArgumentError(f"malformed edge-list line: {ln!r}") from exc
-    return Graph(triples, marked=marked, window=window, truncated=truncated)
+    return Graph.from_arrays(u, v, c, marked=marked, window=window, truncated=truncated)

@@ -207,6 +207,14 @@ def simulate(
 
     Trajectory i draws all its uniforms from the stream seeded by
     mix_seed(seed, i), so any batching gives identical paths.
+
+    Trajectories run `chunk_size` at a time, and each chunk records its
+    vertex history.  The range statistics come from that history: the
+    first visits of each trajectory, found with one scratch array over the
+    vertices, and the sequential sum of their measures in time order.
+    Memory is O(n_vertices + chunk_size * n_steps) on top of the
+    per-trajectory outputs; nothing of size chunk_size * n_vertices is
+    allocated.
     """
     if n_steps < 1 or n_trajectories < 1:
         raise InvalidArgumentError("n_steps and n_trajectories must be positive")
@@ -229,6 +237,11 @@ def simulate(
     n = g.n_vertices
 
     n_grid = grid.size
+    # first_step[v] is the first step at which the current trajectory stood
+    # on v, `never` when it has not; reset after each trajectory
+    steps = np.arange(n_steps + 1)
+    never = n_steps + 1
+    first_step = np.full(n, never)
     exit_time = np.full((n_trajectories, radii_arr.size), n_steps, dtype=np.int64)
     censored = np.ones((n_trajectories, radii_arr.size), dtype=bool)
     displacement = np.empty((n_trajectories, n_grid), dtype=np.int64)
@@ -249,30 +262,27 @@ def simulate(
             uniforms[i] = stream.random(n_steps)
 
         x = np.full(m, oi, dtype=np.int64)
-        d_hist = np.empty((m, n_steps + 1), dtype=np.int64)
-        d_hist[:, 0] = 0
-        visited = np.zeros((m, n), dtype=bool)
-        visited[:, oi] = True
-        rows = np.arange(m)
-        weight_sum = np.full(m, mu[oi])
-        size = np.ones(m, dtype=np.int64)
-        grid_pos = 0
+        # vertex indices of each step; int32 halves the chunk's largest array
+        x_hist = np.empty((m, n_steps + 1), dtype=np.int32)
+        x_hist[:, 0] = oi
         for t in range(1, n_steps + 1):
             target = edge_cum[indptr[x]] + uniforms[:, t - 1] * row_span[x]
             pos = np.searchsorted(edge_cum, target, side="right") - 1
             pos = np.clip(pos, indptr[x], indptr[x + 1] - 1)
             x = indices[pos]
-            d_hist[:, t] = dist[x]
-            fresh = ~visited[rows, x]
-            weight_sum += mu[x] * fresh
-            size += fresh
-            visited[rows, x] = True
-            while grid_pos < n_grid and grid[grid_pos] == t:
-                displacement[start:stop, grid_pos] = dist[x]
-                range_weight[start:stop, grid_pos] = weight_sum
-                range_size[start:stop, grid_pos] = size
-                endpoint[start:stop, grid_pos] = g.labels[x]
-                grid_pos += 1
+            x_hist[:, t] = x
+        d_hist = dist[x_hist]
+        displacement[start:stop] = d_hist[:, grid]
+        endpoint[start:stop] = g.labels[x_hist[:, grid]]
+        for i, row in enumerate(x_hist, start):
+            # steps of first visits, ascending; the origin's is step 0
+            np.minimum.at(first_step, row, steps)
+            fresh = np.flatnonzero(first_step[row] == steps)
+            first_step[row] = never
+            size = np.searchsorted(fresh, grid, side="right")
+            range_size[i] = size
+            # the measure of first visits added in time order, as the walk goes
+            range_weight[i] = np.cumsum(mu[row[fresh]])[size - 1]
         running_max = np.maximum.accumulate(d_hist, axis=1)
         max_displacement[start:stop] = running_max[:, grid]
         for j, R in enumerate(radii_arr):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from resistive_walk import generate
 from resistive_walk.errors import InvalidArgumentError
 from resistive_walk.generate import (
     PROBABILITY_CAP,
     ExpTailParams,
     LongRangeParams,
-    ensemble_seeds,
     fixture,
     generate_exp_tail,
     generate_long_range,
@@ -24,13 +24,6 @@ def test_mix_seed_is_deterministic_and_spread():
 
 def test_mix_seed_differs_across_masters():
     assert mix_seed(1, 0) != mix_seed(2, 0)
-
-
-def test_ensemble_seeds():
-    seeds = ensemble_seeds(7, 10)
-    assert len(seeds) == 10
-    assert len(set(seeds)) == 10
-    assert seeds == ensemble_seeds(7, 10)
 
 
 @pytest.mark.parametrize(
@@ -61,6 +54,134 @@ def test_long_range_probability():
 def test_exp_tail_probability():
     p = ExpTailParams(16, 1.5, 0)
     assert p.bond_probability(3) == pytest.approx(np.exp(-4.5))
+
+
+_DEFAULT_RNG = np.random.default_rng
+
+
+def _scalar_probability(params, n):
+    """Bond probability at distance n >= 2 by Python float arithmetic."""
+    if isinstance(params, LongRangeParams):
+        return min(params.beta * float(n) ** -params.tail_exponent, PROBABILITY_CAP)
+    return min(float(np.exp(-params.rate * n)), PROBABILITY_CAP)
+
+
+def _scalar_loop_bonds(params):
+    """Bonds of a window by one scalar binomial draw per distance, in bond order."""
+    L = params.half_width
+    rng = _DEFAULT_RNG(params.seed)
+    bonds = [(x, x + 1) for x in range(-L, L)]
+    for n in range(2, 2 * L + 1):
+        m = 2 * L + 1 - n
+        k = int(rng.binomial(m, _scalar_probability(params, n)))
+        if k:
+            lefts = np.sort(rng.choice(m, size=k, replace=False))
+            bonds.extend((int(j) - L, int(j) - L + n) for j in lefts)
+    return np.asarray(bonds, dtype=np.int64)
+
+
+class _SpyRng:
+    """A Generator that records the (slots, p, counts) of every binomial call."""
+
+    def __init__(self, seed, calls):
+        self._rng = _DEFAULT_RNG(seed)
+        self.bit_generator = self._rng.bit_generator
+        self._calls = calls
+
+    def binomial(self, n, p):
+        counts = self._rng.binomial(n, p)
+        self._calls.append((np.array(n), np.array(p), np.array(counts)))
+        return counts
+
+    def choice(self, *args, **kwargs):
+        return self._rng.choice(*args, **kwargs)
+
+
+def _block_edge_hits(calls):
+    """Which block positions the first nonzero counts fell on.
+
+    A block draw whose first nonzero count is followed by a redraw from the
+    block's first distance; "last" is a hit on a block's last entry, "first"
+    a hit on the first entry of a block right after an all-zero block.
+    """
+    seen = set()
+    prev_zero_end = None
+    k = 0
+    while k < len(calls):
+        slots, _, counts = calls[k]
+        hits = np.flatnonzero(counts)
+        if not hits.size:
+            prev_zero_end = slots[-1]
+            k += 1
+            continue
+        j = int(hits[0])
+        redraw = calls[k + 1][0]
+        assert redraw[0] == slots[0] and redraw.size == j + 1
+        if j == slots.size - 1 and j > 0:
+            seen.add("last")
+        if j == 0 and prev_zero_end == slots[0] + 1:
+            seen.add("first")
+        prev_zero_end = None
+        k += 2
+    return seen
+
+
+@pytest.mark.parametrize(
+    "params, edges",
+    [
+        (LongRangeParams(32, 1.0, 2.2, seed=11), {"last"}),
+        (LongRangeParams(100, 1.0, 2.2, seed=7), {"first"}),
+        (LongRangeParams(200, 1.0, 3.0, seed=22), {"last"}),
+        (LongRangeParams(256, 1.0, 3.0, seed=8), {"first"}),
+        (LongRangeParams(512, 1.0, 3.5, seed=28), {"first"}),
+        (LongRangeParams(2048, 1.0, 3.5, seed=1), set()),
+        (ExpTailParams(256, 1.0, seed=4), set()),
+        (ExpTailParams(300, 0.2, seed=5), set()),
+    ],
+)
+def test_blocked_draws_match_scalar_loop(monkeypatch, params, edges):
+    calls = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _SpyRng(seed, calls))
+    g = generate._generate_window(params)
+    ref = _scalar_loop_bonds(params)
+    assert np.array_equal(g.labels[g.bond_u], ref[:, 0])
+    assert np.array_equal(g.labels[g.bond_v], ref[:, 1])
+    assert np.array_equal(g.bond_c, np.ones(ref.shape[0]))
+    assert edges <= _block_edge_hits(calls)
+    # every distance was drawn, each with the scalar probability bit for bit
+    L = params.half_width
+    drawn = set()
+    for slots, p, _ in calls:
+        distances = 2 * L + 1 - slots
+        scalar = np.array([_scalar_probability(params, int(n)) for n in distances])
+        assert np.array_equal(p.view(np.uint64), scalar.view(np.uint64))
+        assert p.tolist() == [params.bond_probability(int(n)) for n in distances]
+        drawn.update(distances.tolist())
+    assert drawn == set(range(2, 2 * L + 1))
+
+
+@pytest.mark.parametrize(
+    "params, block",
+    [
+        (LongRangeParams(96, 1.0, 2.2, seed=0), 2),
+        (LongRangeParams(96, 1.0, 2.2, seed=1), 3),
+        (LongRangeParams(96, 1.0, 2.2, seed=4), 5),
+        (LongRangeParams(96, 1.0, 3.0, seed=1), 2),
+        (LongRangeParams(96, 1.0, 3.0, seed=4), 3),
+        (LongRangeParams(96, 1.0, 3.5, seed=19), 2),
+        (ExpTailParams(96, 0.5, seed=11), 2),
+    ],
+)
+def test_small_blocks_match_scalar_loop(monkeypatch, params, block):
+    # fixed small blocks put hits on both block edges many times over
+    monkeypatch.setattr(generate, "_MIN_BLOCK", block)
+    monkeypatch.setattr(generate, "_MAX_BLOCK", block)
+    calls = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _SpyRng(seed, calls))
+    g = generate._generate_window(params)
+    ref = _scalar_loop_bonds(params)
+    assert np.array_equal(np.column_stack([g.labels[g.bond_u], g.labels[g.bond_v]]), ref)
+    assert _block_edge_hits(calls) == {"first", "last"}
 
 
 def test_generation_is_deterministic():

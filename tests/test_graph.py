@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resistive_walk import generate
 from resistive_walk.errors import InvalidArgumentError, TruncationError
-from resistive_walk.generate import fixture
+from resistive_walk.generate import ExpTailParams, LongRangeParams, fixture
 from resistive_walk.graph import (
     Graph,
     dumps_edge_list,
@@ -212,3 +213,120 @@ def test_explicit_measure_blocks_serialization():
 def test_header_defaults_truncated_to_false():
     g = loads_edge_list("# marked=0 window=0,1\n0 1 1.0\n")
     assert not g.truncated
+
+
+# -- the array constructor -------------------------------------------------
+
+
+def _assert_same_graph(a, b):
+    for field in ("labels", "bond_u", "bond_v", "bond_c", "measure"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+    for x, y in zip(a.csr(), b.csr()):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert (a.marked, a.window, a.truncated) == (b.marked, b.window, b.truncated)
+
+
+def _tuple_twin(g, **kwargs):
+    return Graph(list(g.bonds()), marked=g.marked, window=g.window,
+                 truncated=g.truncated, **kwargs)
+
+
+# the fixtures' bonds as tuples, in order
+FIXTURE_BONDS = {
+    ("parallel_pair", None): [(0, 1), (0, 1)],
+    ("path", 3): [(0, 1), (1, 2), (2, 3)],
+    ("cycle", 4): [(0, 1), (1, 2), (2, 3), (3, 0)],
+    ("binary_tree", 2): [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)],
+    ("ladder", 3): [(0, 1), (2, 3), (4, 5), (0, 2), (1, 3), (2, 4), (3, 5)],
+    ("line", 2): [(-2, -1), (-1, 0), (0, 1), (1, 2)],
+}
+
+
+@pytest.mark.parametrize("name, size", list(FIXTURE_BONDS))
+def test_fixtures_match_the_tuple_path(name, size):
+    g = fixture(name, size)
+    bonds = [(u, v, 1.0) for u, v in FIXTURE_BONDS[name, size]]
+    assert list(g.bonds()) == bonds
+    window = (-size, size) if name == "line" else None
+    _assert_same_graph(g, Graph(bonds, marked=0, window=window, truncated=name == "line"))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_arrays_matches_tuple_path_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    # a random tree on scattered labels plus random extra bonds, some of
+    # them parallel, with random conductances
+    labels = rng.choice(np.arange(-500, 500), size=60, replace=False)
+    order = rng.permutation(60)
+    u = [int(labels[order[rng.integers(i)]]) for i in range(1, 60)]
+    v = [int(labels[order[i]]) for i in range(1, 60)]
+    for _ in range(40):
+        a, b = rng.choice(labels, size=2, replace=False)
+        u.append(int(a))
+        v.append(int(b))
+    u += u[:5]
+    v += v[:5]
+    c = (rng.random(len(u)) * 3 + 1.0).tolist()
+    marked = int(labels[0])
+    g = Graph.from_arrays(np.asarray(u), np.asarray(v), np.asarray(c), marked=marked)
+    _assert_same_graph(g, Graph(list(zip(u, v, c)), marked=marked))
+    assert list(g.bonds()) == list(zip(u, v, c))
+    h = g.with_bond(u[3], 1000, 2.5)
+    _assert_same_graph(h, Graph(list(zip(u, v, c)) + [(u[3], 1000, 2.5)], marked=marked))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [LongRangeParams(300, 1.0, 2.2, seed=1), LongRangeParams(500, 1.0, 3.5, seed=2),
+     ExpTailParams(400, 0.3, seed=3)],
+)
+def test_generated_windows_match_tuple_path(params):
+    g = generate._generate_window(params)
+    _assert_same_graph(g, _tuple_twin(g))
+    _assert_same_graph(loads_edge_list(dumps_edge_list(g)), g)
+    h = g.with_bond(-3, 7, 0.5)
+    _assert_same_graph(h, Graph(list(g.bonds()) + [(-3, 7, 0.5)], marked=0,
+                                window=g.window, truncated=True))
+
+
+@pytest.mark.parametrize(
+    "bonds, kwargs, message",
+    [
+        ([], {}, "at least one bond"),
+        ([(0, 1, 1.0), (2, 2, 1.0)], {}, "self-loops"),
+        ([(0, 1, 0.0)], {}, "positive and finite"),
+        ([(0, 1, -1.0)], {}, "positive and finite"),
+        ([(0, 1, float("inf"))], {}, "positive and finite"),
+        ([(0, 1, float("nan"))], {}, "positive and finite"),
+        (PATH, {"marked": 9}, "marked vertex 9"),
+        (PATH, {"measure": {0: 2.0, 1: 2.0}}, "explicit measure"),
+        (PATH, {"measure": {0: 0.5, 1: 2.0, 2: 2.0, 3: 1.0}}, "measure >= 1"),
+        ([(0, 1, 0.5)], {}, "measure >= 1"),
+        ([(0, 1, 1.0), (5, 6, 1.0)], {}, "connected"),
+    ],
+)
+def test_from_arrays_raises_as_the_tuple_path(bonds, kwargs, message):
+    kwargs = {"marked": 0, **kwargs}
+    with pytest.raises(InvalidArgumentError, match=message) as from_tuples:
+        Graph(bonds, **kwargs)
+    u, v, c = (list(col) for col in zip(*bonds)) if bonds else ([], [], [])
+    with pytest.raises(InvalidArgumentError) as from_arrays:
+        Graph.from_arrays(u, v, c, **kwargs)
+    assert str(from_arrays.value) == str(from_tuples.value)
+
+
+@pytest.mark.parametrize(
+    "u, v, c",
+    [([0, 1], [1], [1.0]), ([0], [1], [1.0, 1.0]), ([[0]], [[1]], [[1.0]]), (0, 1, 1.0)],
+)
+def test_from_arrays_needs_equal_one_dimensional_arrays(u, v, c):
+    with pytest.raises(InvalidArgumentError, match="1-D and of equal length"):
+        Graph.from_arrays(u, v, c, marked=0)
+
+
+def test_from_arrays_keeps_its_own_conductances():
+    c = np.array([1.0, 2.0])
+    g = Graph.from_arrays(np.array([0, 1]), np.array([1, 2]), c, marked=0)
+    c[:] = 5.0
+    assert g.bond_c.tolist() == [1.0, 2.0]

@@ -3,7 +3,8 @@ import pytest
 
 from resistive_walk import walk
 from resistive_walk.errors import InvalidArgumentError, SolverError
-from resistive_walk.generate import LongRangeParams, fixture, generate_long_range
+from resistive_walk.generate import LongRangeParams, fixture, generate_long_range, mix_seed
+from resistive_walk.graph import Graph
 from resistive_walk.oracle import dense_heat_kernel, dense_mean_exit
 from resistive_walk.walk import heat_kernel_exact, mean_exit_time_exact, simulate
 
@@ -159,6 +160,71 @@ def test_simulation_is_chunk_invariant(line64):
     for field in ("exit_time", "censored", "displacement", "max_displacement",
                   "range_weight", "range_size", "endpoint", "step_displacement"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def _visited_loop_reference(g, origin, n_steps, n_traj, seed, radii, grid, metric):
+    """Trajectory-by-trajectory walk with a visited array over all vertices."""
+    indptr, indices, weights = g.csr()
+    edge_cum = np.concatenate([[0.0], np.cumsum(weights)])
+    mu = edge_cum[indptr[1:]] - edge_cum[indptr[:-1]]
+    dist = g.distances_from(origin, metric)
+    out = {k: [] for k in ("range_weight", "range_size", "endpoint", "displacement",
+                           "max_displacement", "exit_time", "censored")}
+    for i in range(n_traj):
+        u = np.random.default_rng(mix_seed(seed, i)).random(n_steps)
+        x = g.index(origin)
+        visited = np.zeros(g.n_vertices, dtype=bool)
+        visited[x] = True
+        weight, size, far = mu[x], 1, 0
+        exit_time = {R: None for R in radii}
+        rows = {k: [] for k in ("range_weight", "range_size", "endpoint", "displacement",
+                                "max_displacement")}
+        for t in range(1, n_steps + 1):
+            target = edge_cum[indptr[x]] + u[t - 1] * mu[x]
+            pos = int(np.searchsorted(edge_cum, target, side="right")) - 1
+            x = int(indices[min(max(pos, indptr[x]), indptr[x + 1] - 1)])
+            if not visited[x]:
+                visited[x] = True
+                weight += mu[x]
+                size += 1
+            far = max(far, int(dist[x]))
+            for R in radii:
+                if exit_time[R] is None and far >= R:
+                    exit_time[R] = t
+            for _ in range(int(np.count_nonzero(grid == t))):
+                for k, value in (("range_weight", weight), ("range_size", size),
+                                 ("endpoint", g.labels[x]), ("displacement", dist[x]),
+                                 ("max_displacement", far)):
+                    rows[k].append(value)
+        for k, value in rows.items():
+            out[k].append(value)
+        out["exit_time"].append([n_steps if exit_time[R] is None else exit_time[R]
+                                 for R in radii])
+        out["censored"].append([exit_time[R] is None for R in radii])
+    return {k: np.asarray(v) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 256])
+def test_simulation_matches_visited_array_reference(chunk_size):
+    # random conductances make the measures non-integer; near the low end of
+    # the labels they are fine enough that the range weight depends on the
+    # order of summation, so the walk starts there
+    w = generate_long_range(LongRangeParams(96, 1.0, 2.2, seed=4))
+    c = 1.0 + 2.0 * np.random.default_rng(4).random(w.n_bonds)
+    g = Graph.from_arrays(w.labels[w.bond_u], w.labels[w.bond_v], c, marked=0,
+                          window=w.window, truncated=True)
+    grid = np.asarray([1, 5, 5, 17, 40, 64])
+    radii = (2, 9, 30)
+    n_traj = 23
+    stats = simulate(g, -80, 64, n_traj, seed=8, radii=radii, time_grid=grid,
+                     metric="line", chunk_size=chunk_size)
+    ref = _visited_loop_reference(g, -80, 64, n_traj, 8, radii, grid, "line")
+    assert ref["censored"][:, -1].any() and not ref["censored"][:, -1].all()
+    for field, value in ref.items():
+        got = getattr(stats, field)
+        assert got.shape == value.shape, field
+        assert got.tobytes() == value.astype(got.dtype).tobytes(), field
+    assert stats.range_weight.dtype == np.float64
 
 
 def test_exit_duality_per_trajectory(lrp128):
