@@ -12,15 +12,25 @@ distances in one array call.  Most counts are zero; at the first nonzero
 entry j the bit-generator state saved before the block is restored and
 entries 0..j are redrawn, so the stream stands exactly where the loop
 would call `choice`.  The block doubles after each all-zero block and
-starts small again after a hit.  The probabilities come from the scalar
-`bond_probability`, because numpy's array `**` differs from Python's
-float power in the last ulp on some distances.  The bonds reach `Graph`
-as arrays, in the loop's order, through `Graph.from_arrays`.
+starts small again after a hit.  The bonds reach `Graph` as arrays, in
+the loop's order, through `Graph.from_arrays`.
+
+The probabilities of all distances come as one array from
+`bond_probabilities`, bit for bit those of the scalar `bond_probability`.
+The polynomial tail maps `math.pow` over the distances: it is the libm
+`pow` behind Python's float `**`, whereas numpy's array `**` differs from
+it in the last ulp on some distances.  beta and the cap are then applied
+in numpy, whose multiply and minimum round exactly as Python's do.  The
+exponential tail takes numpy's array `exp`, which gives the bits of the
+scalar call; the tests pin both forms to the scalar function on every
+distance of the shipped windows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -62,9 +72,14 @@ class LongRangeParams:
     def bond_probability(self, n: int) -> float:
         if n == 1:
             return 1.0
-        p = self.beta * float(n) ** -self.tail_exponent
-        # min(p, cap) without the builtin's call overhead: one call per distance
-        return PROBABILITY_CAP if PROBABILITY_CAP < p else p
+        return min(self.beta * float(n) ** -self.tail_exponent, PROBABILITY_CAP)
+
+    def bond_probabilities(self) -> np.ndarray:
+        """`bond_probability(n)` for n = 2..2L, bitwise, as one array."""
+        n = range(2, 2 * self.half_width + 1)
+        # math.pow is the libm pow behind Python's float `**`
+        power = np.fromiter(map(math.pow, n, repeat(-self.tail_exponent)), float, len(n))
+        return np.minimum(self.beta * power, PROBABILITY_CAP)
 
     def validate(self) -> None:
         if self.half_width < 2:
@@ -90,6 +105,11 @@ class ExpTailParams:
             return 1.0
         return min(float(np.exp(-self.rate * n)), PROBABILITY_CAP)
 
+    def bond_probabilities(self) -> np.ndarray:
+        """`bond_probability(n)` for n = 2..2L, bitwise, as one array."""
+        n = np.arange(2, 2 * self.half_width + 1, dtype=float)
+        return np.minimum(np.exp(-self.rate * n), PROBABILITY_CAP)
+
     def validate(self) -> None:
         if self.half_width < 2:
             raise InvalidArgumentError("half_width must be at least 2")
@@ -108,7 +128,7 @@ def _generate_window(params: LongRangeParams | ExpTailParams) -> Graph:
     # independent-Bernoulli law pair by pair.
     distance = np.arange(2, 2 * L + 1)
     slots = 2 * L + 1 - distance
-    p = np.fromiter(map(params.bond_probability, range(2, 2 * L + 1)), float, distance.size)
+    p = params.bond_probabilities()
     u = [np.arange(-L, L)]
     v = [np.arange(-L + 1, L + 1)]
     i = 0

@@ -50,7 +50,16 @@ class Graph:
     instead; the tuple constructor is a thin wrapper that turns the tuples
     into those arrays, and both run one construction with the same checks.
     A graph holds O(n + bonds) memory: the labels, the bond arrays, the
-    measure and the cached merged adjacency and distances.
+    measure and the cached merged adjacency, weighted degree and distances.
+
+    Facts that never change are computed once per graph.  `weighted_degree`
+    is the row sums of the merged adjacency, kept as a read-only array;
+    every Laplacian, exit-time read and transition step uses it.  (It
+    equals the default measure, but the two are summed in different
+    orders, so they are not used interchangeably.)  `indices` guesses each
+    label's position as label - labels[0], which is right on contiguous
+    labels such as a window's, and binary-searches only the guesses that
+    miss; the bond ends are looked up the same way when the graph is built.
     """
 
     __slots__ = (
@@ -123,8 +132,8 @@ class Graph:
         ends = np.sort(np.concatenate([u, v]))
         labels = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
         self.labels = labels
-        self.bond_u = np.searchsorted(labels, u).astype(np.int64)
-        self.bond_v = np.searchsorted(labels, v).astype(np.int64)
+        self.bond_u = self.indices(u)
+        self.bond_v = self.indices(v)
         self.bond_c = c
         if marked not in labels:
             raise InvalidArgumentError(f"marked vertex {marked} is not in the graph")
@@ -161,20 +170,33 @@ class Graph:
         return self.bond_c.size
 
     def index(self, label: int) -> int:
-        i = int(np.searchsorted(self.labels, label))
-        if i >= self.labels.size or self.labels[i] != label:
-            raise InvalidArgumentError(f"vertex {label} is not in the graph")
-        return i
+        return int(self.indices([label])[0])
 
     def indices(self, labels: Sequence[int]) -> np.ndarray:
-        """Vertex indices of `labels`, in the given order (duplicates kept)."""
+        """Vertex indices of `labels`, in the given order (duplicates kept).
+
+        Each position is first guessed as label - labels[0], which is right
+        for every label of a contiguous label range; only the guesses that
+        miss are binary-searched.  Every result is checked against the
+        labels, and the first label that is absent raises.
+        """
         wanted = np.asarray(labels).reshape(-1)
-        idx = np.searchsorted(self.labels, wanted)
-        found = self.labels[np.minimum(idx, self.labels.size - 1)] == wanted
-        if not found.all():
-            missing = wanted[np.argmin(found)]
-            raise InvalidArgumentError(f"vertex {missing} is not in the graph")
-        return idx.astype(np.int64)
+        last = self.labels.size - 1
+        if np.can_cast(wanted.dtype, np.int64):
+            idx = wanted.astype(np.int64) - self.labels[0]
+            np.clip(idx, 0, last, out=idx)
+            miss = np.flatnonzero(self.labels[idx] != wanted)
+        else:
+            # no exact integer offset for this dtype: search every label
+            idx = np.zeros(wanted.size, dtype=np.int64)
+            miss = np.arange(wanted.size)
+        if miss.size:
+            idx[miss] = np.minimum(np.searchsorted(self.labels, wanted[miss]), last)
+            found = self.labels[idx[miss]] == wanted[miss]
+            if not found.all():
+                missing = wanted[miss[np.argmin(found)]]
+                raise InvalidArgumentError(f"vertex {missing} is not in the graph")
+        return idx
 
     def bonds(self) -> Iterator[tuple[int, int, float]]:
         for i in range(self.bond_c.size):
@@ -220,6 +242,14 @@ class Graph:
             n = self.n_vertices
             self._cache["adj"] = csr_matrix((weights, indices, indptr), shape=(n, n))
         return self._cache["adj"]
+
+    def weighted_degree(self) -> np.ndarray:
+        """Row sums of the merged adjacency, computed once; read-only."""
+        if "degree" not in self._cache:
+            degree = np.asarray(self.adjacency().sum(axis=1)).ravel()
+            degree.flags.writeable = False
+            self._cache["degree"] = degree
+        return self._cache["degree"]
 
     def _connected(self) -> bool:
         ncomp, _ = connected_components(self.adjacency(), directed=False)

@@ -28,10 +28,6 @@ _CHECK_COLUMNS = 8
 _PAIR_COLUMNS = 128
 
 
-def _weighted_degree(g: Graph) -> np.ndarray:
-    return np.asarray(g.adjacency().sum(axis=1)).ravel()
-
-
 def _residual(lap, x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """lap @ x - b and its largest relative column norm (NaN fails every check)."""
     r = lap @ x
@@ -50,7 +46,7 @@ def _grounded_solver(
     the solution, its largest relative residual and the number of solves
     with the factor: 2 if a column block needed the refinement step, else 1.
     """
-    lap = (diags(_weighted_degree(g)[free]) - g.adjacency()[free][:, free]).tocsc()
+    lap = (diags(g.weighted_degree()[free]) - g.adjacency()[free][:, free]).tocsc()
     try:
         lu = splu(lap)
     except RuntimeError as exc:
@@ -218,9 +214,14 @@ def max_pointwise_ratios(
 
     The ratio is max over y != marked with d(marked, y) < R of
     R_eff(marked, y) / r(d(marked, y)) for the growth r (identity when
-    omitted); the witness is the first maximizing label in label order.
-    A ball holding only the marked vertex gives (0.0, None).  All pair
-    resistances come from one `pair_resistance` call over the largest ball.
+    omitted); the witness is the first label, in label order, whose
+    computed ratio is the largest.  Exact ties are not resolved by that
+    order: when both nearest-neighbour bonds of the marked vertex are cut
+    edges, R_eff(marked, +-1) = 1 exactly, yet the two computed values
+    differ by LU rounding (about 1e-13), and the rounding picks the
+    witness.  A ball holding only the marked vertex gives (0.0, None).
+    All pair resistances come from one `pair_resistance` call over the
+    largest ball.
     """
     dist = g.distances_from(g.marked, metric)
     sel = (dist < max(radii)) & (g.labels != g.marked)

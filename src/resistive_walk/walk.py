@@ -23,7 +23,7 @@ from scipy.sparse import diags
 from .errors import InvalidArgumentError, SolverError
 from .generate import mix_seed
 from .graph import Graph
-from .resistance import _weighted_degree, green_row
+from .resistance import green_row
 
 CONTAMINATION_LEVEL = 1e-3
 _CONSERVATION_TOL = 1e-9
@@ -91,7 +91,7 @@ def heat_kernel_exact(
     hops = g.distances_from(origin, "graph")
     order = np.argsort(hops, kind="stable")  # the origin comes first
     reach = np.cumsum(np.bincount(hops))  # reach[h] = |{hop <= h}|
-    mu = _weighted_degree(g)[order]
+    mu = g.weighted_degree()[order]
 
     # window-edge vertices, as ascending positions in hop order, and the
     # first step at which the walk can stand on one
@@ -147,7 +147,7 @@ def mean_exit_time_exact(g: Graph, origin: int, radius: int, metric: str = "grap
     if ball.size == g.n_vertices:
         raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
     row = green_row(g, ball, origin)
-    return float(row.values @ _weighted_degree(g)[g.indices(row.domain)])
+    return float(row.values @ g.weighted_degree()[g.indices(row.domain)])
 
 
 @dataclass(frozen=True)

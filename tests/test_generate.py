@@ -56,6 +56,31 @@ def test_exp_tail_probability():
     assert p.bond_probability(3) == pytest.approx(np.exp(-4.5))
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        # numpy's array `**` differs from Python's float power in the last
+        # ulp on 27 794 of this window's 524 287 distances (x86-64, numpy 2.4)
+        LongRangeParams(2**18, 1.0, 3.5, 0),
+        LongRangeParams(4096, 1.0, 2.2, 0),
+        LongRangeParams(8192, 1.0, 3.0, 0),
+        LongRangeParams(8192, 0.37, 3.0, 0),
+        LongRangeParams(64, 1e12, 2.5, 0),  # capped at the short distances
+        ExpTailParams(8192, 1.0, 0),
+        ExpTailParams(8192, 0.05, 0),
+    ],
+    ids=lambda p: (
+        f"lrp-s{p.tail_exponent}-beta{p.beta:g}-L{p.half_width}"
+        if isinstance(p, LongRangeParams) else f"exp-rate{p.rate}-L{p.half_width}"
+    ),
+)
+def test_array_probabilities_are_the_scalar_bits(params):
+    distances = range(2, 2 * params.half_width + 1)
+    want = np.asarray([params.bond_probability(n) for n in distances])
+    got = params.bond_probabilities()
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 _DEFAULT_RNG = np.random.default_rng
 
 

@@ -93,6 +93,95 @@ def test_indices_name_the_first_missing_label(labels, missing):
         g.indices(labels)
 
 
+def _searchsorted_indices(labels, wanted):
+    """Reference lookup: one binary search per label, then a check."""
+    wanted = np.asarray(wanted).reshape(-1)
+    idx = np.searchsorted(labels, wanted)
+    found = labels[np.minimum(idx, labels.size - 1)] == wanted
+    if not found.all():
+        raise InvalidArgumentError(f"vertex {wanted[np.argmin(found)]} is not in the graph")
+    return idx.astype(np.int64)
+
+
+def _gapped_graphs():
+    """Graphs whose labels are not one contiguous range, plus one that is,
+    each with the bonds it was built from."""
+    rng = np.random.default_rng(5)
+    scattered = np.sort(rng.choice(np.arange(-3000, 3000), size=80, replace=False))
+    chain = [(int(a), int(b), 1.0) for a, b in zip(scattered, scattered[1:])]
+    sparse = [(-1000, 0, 1.0), (0, 7, 0.5), (7, 5000, 2.0), (5000, -1000, 1.0), (7, 8, 1.0)]
+    text = "# marked=0 window=-1000,5000 truncated=0\n" + "".join(
+        f"{u} {v} {c!r}\n" for u, v, c in sparse
+    )
+    negative = [(-50, -7, 1.0), (-7, -3, 2.0), (-3, -2, 1.0), (-50, -2, 0.5)]
+    extremes = [(-(2**62), 0, 1.0), (0, 2**62, 1.0), (0, 1, 1.0)]
+    line = fixture("line", 64)
+    line_bonds = [(x, x + 1, 1.0) for x in range(-64, 64)]
+    return {
+        "sparse-edge-list": (loads_edge_list(text), sparse),
+        "far-bond": (line.with_bond(3, 10**6, 1.5), line_bonds + [(3, 10**6, 1.5)]),
+        "far-bond-below": (line.with_bond(-3, -(10**9)), line_bonds + [(-3, -(10**9), 1.0)]),
+        "negative": (Graph(negative, marked=-7), negative),
+        "int64-extremes": (Graph(extremes, marked=0), extremes),
+        "scattered": (Graph(chain, marked=chain[0][0]), chain),
+        "contiguous": (line, line_bonds),
+    }
+
+
+GAPPED = _gapped_graphs()
+
+
+def _queries(g):
+    """Label lists of several dtypes: present labels, absent ones, empty input."""
+    rng = np.random.default_rng(g.n_vertices)
+    labels = g.labels
+    present = rng.permutation(np.concatenate([labels, labels[:3], labels[-2:]]))
+    absent = np.setdiff1d(np.concatenate([labels - 1, labels + 1]), labels)[:6]
+    absent = np.concatenate([absent, [labels[0] - 1, labels[-1] + 1]])
+    nonneg = present[present >= 0]
+    mixed = np.insert(present, [5, 9], absent[:2])
+    yield present.tolist()
+    yield present
+    yield nonneg.astype(np.uint64)
+    yield nonneg[nonneg < 2**31].astype(np.uint32)
+    yield present[np.abs(present) < 2**31].astype(np.int32)
+    yield present.astype(np.float64)
+    yield [float(labels[0]) + 0.5]
+    yield []
+    yield np.asarray([], dtype=np.int64)
+    yield mixed
+    yield mixed.astype(np.float64)
+    yield absent
+    yield absent[::-1].tolist()
+    for label in absent:
+        yield [label]
+        yield np.asarray([labels[0], label, labels[-1]])
+
+
+def _lookup_or_message(lookup, *args):
+    try:
+        return lookup(*args)
+    except InvalidArgumentError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", list(GAPPED))
+def test_indices_match_a_binary_search(name):
+    g, _ = GAPPED[name]
+    for wanted in _queries(g):
+        got = _lookup_or_message(g.indices, wanted)
+        want = _lookup_or_message(_searchsorted_indices, g.labels, wanted)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    for label in list(g.labels[:3]) + [int(g.labels[-1]) + 1, int(g.labels[0]) - 7]:
+        want = _lookup_or_message(_searchsorted_indices, g.labels, [label])
+        assert _lookup_or_message(g.index, label) == (
+            want if isinstance(want, str) else int(want[0])
+        )
+
+
 def test_parallel_bonds_merge_in_csr():
     g = Graph([(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0)], marked=0)
     assert g.n_bonds == 3
@@ -288,6 +377,14 @@ def test_generated_windows_match_tuple_path(params):
     h = g.with_bond(-3, 7, 0.5)
     _assert_same_graph(h, Graph(list(g.bonds()) + [(-3, 7, 0.5)], marked=0,
                                 window=g.window, truncated=True))
+
+
+@pytest.mark.parametrize("name", list(GAPPED))
+def test_gapped_graphs_match_tuple_path(name):
+    g, bonds = GAPPED[name]
+    assert list(g.bonds()) == bonds
+    _assert_same_graph(g, _tuple_twin(g))
+    _assert_same_graph(loads_edge_list(dumps_edge_list(g)), g)
 
 
 @pytest.mark.parametrize(

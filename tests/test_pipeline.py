@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
+from resistive_walk import pipeline
 from resistive_walk.config import parse_config, with_overrides
 from resistive_walk.errors import ConfigError
 from resistive_walk.generate import mix_seed
@@ -53,6 +55,31 @@ def test_member_observables_are_reproducible(mini_config):
     assert a["volumes"] == b["volumes"]
     assert a["exit_exact"] == b["exit_exact"]
     assert np.array_equal(a["disp_matrix"], b["disp_matrix"])
+
+
+def test_member_computes_the_weighted_degree_once(mini_config, monkeypatch):
+    graphs, row_sums = [], []
+    real_build, real_sum = pipeline.build_graph, csr_matrix.sum
+
+    def build(config, index):
+        graphs.append(real_build(config, index))
+        return graphs[-1]
+
+    def spy_sum(self, *args, **kwargs):
+        row_sums.append(self)
+        return real_sum(self, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_graph", build)
+    monkeypatch.setattr(csr_matrix, "sum", spy_sum)
+    member_observables(mini_config, 0)
+    (g,) = graphs
+    # complement and exit solves, exit-time reads, pointwise factor, kernel
+    assert sum(m is g.adjacency() for m in row_sums) == 1
+    degree = g.weighted_degree()
+    assert degree is g.weighted_degree()
+    assert degree.tobytes() == np.asarray(real_sum(g.adjacency(), axis=1)).ravel().tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        degree[0] = 1.0
 
 
 def test_member_volumes_match_graph(mini_config):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from resistive_walk import walk
 from resistive_walk.errors import InvalidArgumentError, SolverError
 from resistive_walk.generate import LongRangeParams, fixture, generate_long_range, mix_seed
 from resistive_walk.graph import Graph
@@ -74,8 +73,8 @@ def test_light_cone_kernel_matches_dense_oracle(half_width, tail_exponent, seed)
 
 
 def test_kernel_raises_when_mass_drifts(monkeypatch, lrp128):
-    real = walk._weighted_degree
-    monkeypatch.setattr(walk, "_weighted_degree", lambda g: 1.01 * real(g))
+    real = Graph.weighted_degree
+    monkeypatch.setattr(Graph, "weighted_degree", lambda g: 1.01 * real(g))
     with pytest.raises(SolverError, match="mass drifted"):
         heat_kernel_exact(lrp128, 0, 8)
 
