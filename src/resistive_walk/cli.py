@@ -91,7 +91,7 @@ def _cmd_heatkernel(args: argparse.Namespace) -> int:
     print("n,p2n,f_n,boundary_mass")
     for n in range(args.steps // 2 + 1):
         p2n = float(table.origin_series[2 * n])
-        f_n = p2n + float(table.origin_series[2 * n + 1])
+        f_n = table.smoothed(2 * n)
         print(f"{n},{p2n!r},{f_n!r},{float(table.boundary_contact[2 * n])!r}")
     return 0
 

@@ -1,9 +1,9 @@
 """Finite weighted multigraphs with integer vertex labels.
 
 Vertices carry integer labels (positions on the line for window graphs).
-Bonds form a multiset: parallel bonds are kept and their conductances add
-wherever a merged adjacency is needed.  The vertex measure mu is the
-weighted degree unless an explicit measure is supplied.
+Bonds form a multiset: parallel bonds are kept, and in the merged
+adjacency, which scipy builds once per graph, their conductances add.  The
+vertex measure mu is the weighted degree: the row sums of that adjacency.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ class Graph:
         Distinguished origin vertex; must appear in some bond.
     window : (int, int), optional
         Recorded label range.  Defaults to the observed label range.
-    measure : dict[int, float], optional
-        Explicit vertex measure; defaults to the weighted degree.
     truncated : bool
         True for windows cut out of an infinite graph; probe radii are then
         restricted to a quarter of the window half-width.
@@ -50,21 +48,24 @@ class Graph:
     instead; the tuple constructor is a thin wrapper that turns the tuples
     into those arrays, and both run one construction with the same checks.
     A graph holds O(n + bonds) memory: the labels, the bond arrays, the
-    measure and the cached merged adjacency, weighted degree and distances.
+    merged adjacency, the measure and cached distances.
 
-    Facts that never change are computed once per graph.  `weighted_degree`
-    is the row sums of the merged adjacency, kept as a read-only array;
-    every Laplacian, exit-time read and transition step uses it.  (It
-    equals the default measure, but the two are summed in different
-    orders, so they are not used interchangeably.)  `indices` guesses each
-    label's position as label - labels[0], which is right on contiguous
-    labels such as a window's, and binary-searches only the guesses that
-    miss; the bond ends are looked up the same way when the graph is built.
+    Facts that never change are computed once per graph.  The merged
+    adjacency is a scipy CSR matrix over both directions of every bond,
+    parallel conductances summed; it is built with the graph, because the
+    checks that every vertex has measure >= 1 and that the graph is
+    connected read it.  The measure is its row sums, kept as one read-only
+    array: `measure` and `weighted_degree()` are that array, so volumes,
+    every Laplacian, exit-time read and transition step use the same mu.
+    `indices` guesses each label's position as label - labels[0], which is
+    right on contiguous labels such as a window's, and binary-searches only
+    the guesses that miss; the bond ends are looked up the same way when
+    the graph is built.
     """
 
     __slots__ = (
         "labels", "bond_u", "bond_v", "bond_c", "marked", "window",
-        "truncated", "measure", "_explicit_measure", "_cache",
+        "truncated", "measure", "_adjacency", "_cache",
     )
 
     def __init__(
@@ -72,7 +73,6 @@ class Graph:
         bonds: Iterable[tuple[int, int, float]],
         marked: int,
         window: tuple[int, int] | None = None,
-        measure: dict[int, float] | None = None,
         truncated: bool = False,
     ) -> None:
         triples = list(bonds)
@@ -80,7 +80,7 @@ class Graph:
             np.asarray([t[0] for t in triples], dtype=np.int64),
             np.asarray([t[1] for t in triples], dtype=np.int64),
             np.asarray([t[2] for t in triples], dtype=np.float64),
-            marked, window, measure, truncated,
+            marked, window, truncated,
         )
 
     @classmethod
@@ -91,7 +91,6 @@ class Graph:
         c: ArrayLike,
         marked: int,
         window: tuple[int, int] | None = None,
-        measure: dict[int, float] | None = None,
         truncated: bool = False,
     ) -> "Graph":
         """Graph with bonds (u[i], v[i], c[i]), kept in that order.
@@ -104,7 +103,7 @@ class Graph:
             np.asarray(u, dtype=np.int64),
             np.asarray(v, dtype=np.int64),
             np.array(c, dtype=np.float64),
-            marked, window, measure, truncated,
+            marked, window, truncated,
         )
         return g
 
@@ -115,7 +114,6 @@ class Graph:
         c: np.ndarray,
         marked: int,
         window: tuple[int, int] | None,
-        measure: dict[int, float] | None,
         truncated: bool,
     ) -> None:
         if not (u.ndim == v.ndim == c.ndim == 1 and u.size == v.size == c.size):
@@ -143,15 +141,18 @@ class Graph:
         self.window = (int(window[0]), int(window[1]))
         self.truncated = bool(truncated)
 
+        # both directions of every bond; the CSR conversion sums duplicates
         n = labels.size
-        mu = np.zeros(n)
-        np.add.at(mu, self.bond_u, c)
-        np.add.at(mu, self.bond_v, c)
-        self._explicit_measure = measure is not None
-        if measure is not None:
-            if set(measure) != set(int(x) for x in labels):
-                raise InvalidArgumentError("explicit measure must cover exactly the vertex set")
-            mu = np.asarray([float(measure[int(x)]) for x in labels])
+        self._adjacency = csr_matrix(
+            (
+                np.concatenate([c, c]),
+                (np.concatenate([self.bond_u, self.bond_v]),
+                 np.concatenate([self.bond_v, self.bond_u])),
+            ),
+            shape=(n, n),
+        )
+        mu = np.asarray(self._adjacency.sum(axis=1)).ravel()
+        mu.flags.writeable = False
         if np.any(mu < 1.0):
             raise InvalidArgumentError("every vertex must have measure >= 1")
         self.measure = mu
@@ -213,43 +214,16 @@ class Graph:
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Merged adjacency (indptr, indices, weights); parallel conductances add."""
-        if "csr" not in self._cache:
-            n = self.n_vertices
-            src = np.concatenate([self.bond_u, self.bond_v])
-            dst = np.concatenate([self.bond_v, self.bond_u])
-            w = np.concatenate([self.bond_c, self.bond_c])
-            order = np.lexsort((dst, src))
-            src, dst, w = src[order], dst[order], w[order]
-            # collapse duplicate (src, dst) pairs
-            first = np.ones(src.size, dtype=bool)
-            first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            groups = np.cumsum(first) - 1
-            m = int(groups[-1]) + 1
-            ws = np.zeros(m)
-            np.add.at(ws, groups, w)
-            srcs = src[first]
-            dsts = dst[first]
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(indptr, srcs + 1, 1)
-            indptr = np.cumsum(indptr)
-            self._cache["csr"] = (indptr, dsts.astype(np.int64), ws)
-        return self._cache["csr"]
+        adj = self._adjacency
+        return adj.indptr, adj.indices, adj.data
 
     def adjacency(self) -> csr_matrix:
         """Merged weighted adjacency as a scipy CSR matrix."""
-        if "adj" not in self._cache:
-            indptr, indices, weights = self.csr()
-            n = self.n_vertices
-            self._cache["adj"] = csr_matrix((weights, indices, indptr), shape=(n, n))
-        return self._cache["adj"]
+        return self._adjacency
 
     def weighted_degree(self) -> np.ndarray:
-        """Row sums of the merged adjacency, computed once; read-only."""
-        if "degree" not in self._cache:
-            degree = np.asarray(self.adjacency().sum(axis=1)).ravel()
-            degree.flags.writeable = False
-            self._cache["degree"] = degree
-        return self._cache["degree"]
+        """Row sums of the merged adjacency: the measure, read-only."""
+        return self.measure
 
     def _connected(self) -> bool:
         ncomp, _ = connected_components(self.adjacency(), directed=False)
@@ -336,8 +310,6 @@ def write_edge_list(g: Graph, path: str | os.PathLike) -> None:
 
 
 def dumps_edge_list(g: Graph) -> str:
-    if g._explicit_measure:
-        raise InvalidArgumentError("graphs with an explicit measure cannot be serialized")
     lo, hi = g.window
     buf = io.StringIO()
     buf.write(f"# marked={g.marked} window={lo},{hi} truncated={int(g.truncated)}\n")
@@ -348,10 +320,11 @@ def dumps_edge_list(g: Graph) -> str:
 
 def read_edge_list(path: str | os.PathLike) -> Graph:
     try:
-        with open(path) as fh:
-            return loads_edge_list(fh.read())
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidArgumentError(f"cannot read edge list: {exc}") from exc
+    return loads_edge_list(text)
 
 
 def loads_edge_list(text: str) -> Graph:
@@ -366,9 +339,9 @@ def loads_edge_list(text: str) -> Graph:
         marked = int(fields["marked"])
         lo_s, _, hi_s = fields["window"].partition(",")
         window = (int(lo_s), int(hi_s))
+        truncated = {"0": False, "1": True}[fields.get("truncated", "0")]
     except (KeyError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed edge-list header: {lines[0]!r}") from exc
-    truncated = bool(int(fields.get("truncated", "0")))
     u: list[int] = []
     v: list[int] = []
     c: list[float] = []

@@ -129,7 +129,7 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
                 (
                     t // 2,
                     float(table.origin_series[t]),
-                    float(table.origin_series[t] + table.origin_series[t + 1]),
+                    table.smoothed(t),
                     float(table.boundary_contact[t]),
                 )
             )

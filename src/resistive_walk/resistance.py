@@ -256,7 +256,6 @@ def resistance_profile(
     radii: Sequence[int],
     metric: str = "line",
     resistance_growth: Callable[[float], float] | None = None,
-    cache: OriginResistanceCache | None = None,
 ) -> list[ProfileRow]:
     """Per radius: R_eff(marked, outside the ball) and the worst pointwise ratio.
 
@@ -276,7 +275,7 @@ def resistance_profile(
         if outside.size == 0:
             raise InvalidArgumentError(f"ball of radius {R} covers the whole graph")
         complements.append(effective_resistance(g, [g.marked], outside))
-    ratios = max_pointwise_ratios(g, radii, metric, resistance_growth, cache)
+    ratios = max_pointwise_ratios(g, radii, metric, resistance_growth)
     return [
         ProfileRow(R, reff, ratio)
         for R, reff, (ratio, _) in zip(radii, complements, ratios)

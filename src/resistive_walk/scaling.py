@@ -18,11 +18,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import Graph
-from .resistance import (
-    OriginResistanceCache,
-    effective_resistance,
-    max_pointwise_ratios,
-)
+from .resistance import effective_resistance, max_pointwise_ratios
 
 
 def _log_lever_max() -> float:
@@ -124,7 +120,6 @@ def scale_observables(
     radius: int,
     metric: str = "line",
     resistance_growth: GrowthFunction | None = None,
-    cache: OriginResistanceCache | None = None,
 ) -> ScaleObservables:
     """Measure the three clause quantities at one radius."""
     g.check_probe_radius(radius)
@@ -135,9 +130,7 @@ def scale_observables(
         raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
     volume = float(g.measure[inside].sum())
     reff = effective_resistance(g, [g.marked], outside_labels)
-    max_ratio, witness = max_pointwise_ratios(
-        g, [radius], metric, resistance_growth, cache
-    )[0]
+    max_ratio, witness = max_pointwise_ratios(g, [radius], metric, resistance_growth)[0]
     return ScaleObservables(int(radius), volume, reff, max_ratio, witness)
 
 
@@ -182,10 +175,9 @@ def check_good_scale(
     volume_growth: GrowthFunction,
     resistance_growth: GrowthFunction,
     metric: str = "line",
-    cache: OriginResistanceCache | None = None,
 ) -> GoodScaleReport:
     """Full three-clause membership test for one (radius, tolerance) pair."""
-    obs = scale_observables(g, radius, metric, resistance_growth, cache)
+    obs = scale_observables(g, radius, metric, resistance_growth)
     return evaluate_good_scale(obs, tolerance, volume_growth, resistance_growth)
 
 

@@ -229,6 +229,9 @@ def simulate(
             raise InvalidArgumentError("time grid must lie in 1..n_steps")
 
     indptr, indices, weights = g.csr()
+    # scipy may narrow CSR indices to int32, and indexing with int32 arrays
+    # converts them to intp on every step
+    indptr, indices = indptr.astype(np.intp), indices.astype(np.intp)
     edge_cum = np.concatenate([[0.0], np.cumsum(weights)])
     row_span = edge_cum[indptr[1:]] - edge_cum[indptr[:-1]]
     mu = row_span  # weighted degree, in the same float accumulation

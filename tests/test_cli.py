@@ -86,6 +86,20 @@ def test_missing_graph_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"# marked=0 window=0,1 truncated=yes\n0 1 1.0\n",
+     b"# marked=0 window=0,1 truncated=2\n0 1 1.0\n",
+     b"# marked=0 window=0,1\n0 1 \xff\n"],
+    ids=["truncated-yes", "truncated-2", "not-utf8"],
+)
+def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(content)
+    assert main(["resistance", str(path), "--source", "0", "--target", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_config_exits_2(capsys):
     assert main(["run", "no-such-config.cfg"]) == 2
     assert "no config file or preset" in capsys.readouterr().err

@@ -55,14 +55,11 @@ def test_rejects_disconnected_graph():
         Graph([(0, 1, 1.0), (5, 6, 1.0)], marked=0)
 
 
-def test_explicit_measure_must_cover_vertices():
-    with pytest.raises(InvalidArgumentError, match="explicit measure"):
-        Graph(PATH, marked=0, measure={0: 2.0, 1: 2.0})
-
-
 def test_rejects_measure_below_one():
+    # parallel bonds add: two 0.5 bonds give measure 1, two 0.25 bonds 0.5
+    assert Graph([(0, 1, 0.5), (1, 0, 0.5)], marked=0).measure.tolist() == [1.0, 1.0]
     with pytest.raises(InvalidArgumentError, match="measure >= 1"):
-        Graph(PATH, marked=0, measure={0: 0.5, 1: 2.0, 2: 2.0, 3: 1.0})
+        Graph([(0, 1, 0.25), (1, 0, 0.25), (1, 2, 1.0)], marked=0)
 
 
 def test_measure_defaults_to_weighted_degree():
@@ -182,6 +179,43 @@ def test_indices_match_a_binary_search(name):
         )
 
 
+def _random_multigraph(seed):
+    """A random tree on scattered labels plus random extra bonds; some pairs
+    carry 3-5 parallel bonds in both orientations.  Conductances are random."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(np.arange(-400, 400), size=50, replace=False)
+    bonds = [(int(labels[rng.integers(i)]), int(labels[i]), 1.0) for i in range(1, 50)]
+    for _ in range(30):
+        a, b = rng.choice(labels, size=2, replace=False)
+        bonds.append((int(a), int(b), 1.0))
+    for k in rng.choice(len(bonds), size=8, replace=False):
+        a, b, _ = bonds[k]
+        bonds += [(b, a, 1.0) if j % 2 else (a, b, 1.0) for j in range(rng.integers(2, 5))]
+    order = rng.permutation(len(bonds))
+    c = rng.random(len(bonds)) * 2.0 + 1.0
+    return [(bonds[k][0], bonds[k][1], float(w)) for k, w in zip(order, c)], int(labels[0])
+
+
+def _check_merged_adjacency(g, bonds):
+    """The CSR against a dense accumulation of `bonds`, bond by bond."""
+    dense = np.zeros((g.n_vertices, g.n_vertices))
+    where = {int(x): i for i, x in enumerate(g.labels)}
+    for a, b, c in bonds:
+        dense[where[a], where[b]] += c
+        dense[where[b], where[a]] += c
+    indptr, indices, weights = g.csr()
+    for i in range(g.n_vertices):
+        cols = np.flatnonzero(dense[i])
+        assert indices[indptr[i]:indptr[i + 1]].tolist() == cols.tolist()
+        np.testing.assert_allclose(weights[indptr[i]:indptr[i + 1]], dense[i, cols],
+                                   rtol=1e-15, atol=0)
+    row_sums = np.asarray(g.adjacency().sum(axis=1)).ravel()
+    assert g.measure.tobytes() == row_sums.tobytes()
+    assert g.measure is g.weighted_degree()
+    assert not g.measure.flags.writeable
+    np.testing.assert_allclose(g.measure, dense.sum(axis=1), rtol=1e-14, atol=0)
+
+
 def test_parallel_bonds_merge_in_csr():
     g = Graph([(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0)], marked=0)
     assert g.n_bonds == 3
@@ -190,6 +224,24 @@ def test_parallel_bonds_merge_in_csr():
     assert list(indices[indptr[0]:indptr[1]]) == [1]
     assert row0 == pytest.approx([3.0])
     assert g.measure[0] == pytest.approx(3.0)
+    for seed in range(6):
+        bonds, marked = _random_multigraph(seed)
+        g = Graph(bonds, marked=marked)
+        assert g.n_bonds == len(bonds)
+        assert g.adjacency().nnz < 2 * len(bonds)
+        _check_merged_adjacency(g, bonds)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [LongRangeParams(2048, 1.0, 2.2, seed=11), LongRangeParams(4096, 1.0, 3.5, seed=12),
+     ExpTailParams(4096, 1.0, seed=13)],
+)
+def test_generated_window_measure_counts_incident_bonds(params):
+    g = generate._generate_window(params)
+    counts = np.bincount(np.concatenate([g.bond_u, g.bond_v]), minlength=g.n_vertices)
+    assert g.measure.tobytes() == counts.astype(np.float64).tobytes()
+    assert g.measure is g.weighted_degree()
 
 
 def test_graph_metric_counts_hops():
@@ -291,12 +343,17 @@ def test_loads_rejects_malformed_line():
         loads_edge_list("# marked=0 window=0,1\n0 1\n")
     with pytest.raises(InvalidArgumentError, match="malformed"):
         loads_edge_list("# marked=0 window=0,1\n0 one 1.0\n")
+    for flag in ("yes", "2", "-1", ""):
+        with pytest.raises(InvalidArgumentError, match="malformed edge-list header"):
+            loads_edge_list(f"# marked=0 window=0,1 truncated={flag}\n0 1 1.0\n")
+    assert loads_edge_list("# marked=0 window=0,1 truncated=1\n0 1 1.0\n").truncated
 
 
-def test_explicit_measure_blocks_serialization():
-    g = Graph(PATH, marked=0, measure={0: 1.0, 1: 2.0, 2: 2.0, 3: 1.0})
-    with pytest.raises(InvalidArgumentError, match="explicit measure"):
-        dumps_edge_list(g)
+def test_read_edge_list_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"# marked=0 window=0,1\n0 1 \xff\n")
+    with pytest.raises(InvalidArgumentError, match="cannot read"):
+        read_edge_list(path)
 
 
 def test_header_defaults_truncated_to_false():
@@ -397,8 +454,8 @@ def test_gapped_graphs_match_tuple_path(name):
         ([(0, 1, float("inf"))], {}, "positive and finite"),
         ([(0, 1, float("nan"))], {}, "positive and finite"),
         (PATH, {"marked": 9}, "marked vertex 9"),
-        (PATH, {"measure": {0: 2.0, 1: 2.0}}, "explicit measure"),
-        (PATH, {"measure": {0: 0.5, 1: 2.0, 2: 2.0, 3: 1.0}}, "measure >= 1"),
+        ([(0, 1, 1.0), (1, 0, 1.0), (5, 6, 1.0)], {}, "connected"),
+        ([(0, 1, 0.25), (1, 0, 0.25), (1, 2, 1.0)], {}, "measure >= 1"),
         ([(0, 1, 0.5)], {}, "measure >= 1"),
         ([(0, 1, 1.0), (5, 6, 1.0)], {}, "connected"),
     ],
