@@ -18,7 +18,6 @@ from .resistance import (
     green_row,
     project_long_bonds,
     projected_complement_resistance,
-    resistance_profile,
 )
 from .scaling import (
     GrowthFunction,
@@ -26,6 +25,7 @@ from .scaling import (
     displacement_scale,
     evaluate_good_scale,
     fit_spectral_dimension,
+    scale_observables,
 )
 from .walk import heat_kernel_exact, mean_exit_time_exact, simulate
 
@@ -63,7 +63,7 @@ __all__ = [
     "project_long_bonds",
     "projected_complement_resistance",
     "read_edge_list",
-    "resistance_profile",
+    "scale_observables",
     "simulate",
     "write_edge_list",
 ]

@@ -16,8 +16,8 @@ from .generate import ExpTailParams, LongRangeParams, fixture, generate_exp_tail
 from .graph import dumps_edge_list, read_edge_list, write_edge_list
 from .pipeline import run as run_pipeline
 from .report import report as build_report
-from .resistance import effective_resistance, resistance_profile
-from .scaling import GrowthFunction, check_good_scale
+from .resistance import effective_resistance
+from .scaling import GrowthFunction, check_good_scale, scale_observables
 from .walk import heat_kernel_exact, simulate
 
 
@@ -75,7 +75,7 @@ def _cmd_resistance(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
-    rows = resistance_profile(g, _labels(args.radii), metric=args.metric)
+    rows = scale_observables(g, _labels(args.radii), metric=args.metric)
     print("R,complement_resistance,max_pointwise_ratio")
     for row in rows:
         print(f"{row.radius},{row.complement_resistance!r},"

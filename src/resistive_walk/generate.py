@@ -151,9 +151,7 @@ def _generate_window(params: LongRangeParams | ExpTailParams) -> Graph:
         i = j + 1
         block = _MIN_BLOCK
     u = np.concatenate(u)
-    return Graph.from_arrays(
-        u, np.concatenate(v), np.ones(u.size), marked=0, window=(-L, L), truncated=True
-    )
+    return Graph.from_arrays(u, np.concatenate(v), np.ones(u.size), marked=0, truncated=True)
 
 
 def generate_long_range(params: LongRangeParams) -> Graph:
@@ -177,7 +175,6 @@ def fixture(name: str, size: int | None = None) -> Graph:
     heap-ordered labels, root 0.  ladder(n): 2 x n grid.  line(L): pure
     nearest-neighbour window on -L..L.
     """
-    window = None
     if name == "parallel_pair":
         if size is not None:
             raise InvalidArgumentError("parallel_pair takes no size")
@@ -208,9 +205,6 @@ def fixture(name: str, size: int | None = None) -> Graph:
             raise InvalidArgumentError("line needs half-width at least 2")
         u = np.arange(-size, size)
         v = u + 1
-        window = (-size, size)
     else:
         raise InvalidArgumentError(f"unknown fixture {name!r}")
-    return Graph.from_arrays(
-        u, v, np.ones(len(u)), marked=0, window=window, truncated=window is not None
-    )
+    return Graph.from_arrays(u, v, np.ones(len(u)), marked=0, truncated=name == "line")

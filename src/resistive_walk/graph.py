@@ -4,6 +4,8 @@ Vertices carry integer labels (positions on the line for window graphs).
 Bonds form a multiset: parallel bonds are kept, and in the merged
 adjacency, which scipy builds once per graph, their conductances add.  The
 vertex measure mu is the weighted degree: the row sums of that adjacency.
+A graph's window is its label range, lowest to highest label; it is
+derived from the labels, never stated, so its ends are always vertices.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ class Graph:
         (u, v) pairs are kept as parallel bonds.
     marked : int
         Distinguished origin vertex; must appear in some bond.
-    window : (int, int), optional
-        Recorded label range.  Defaults to the observed label range.
     truncated : bool
         True for windows cut out of an infinite graph; probe radii are then
-        restricted to a quarter of the window half-width.
+        restricted to a quarter of the window half-width, and the walk's
+        contact with the window edge is tracked.
+
+    `window` is (labels[0], labels[-1]), the lowest and highest label: a
+    truncated graph's edge vertices are exactly its two end labels.
 
     `Graph.from_arrays` takes the bonds as three equal-length arrays
     instead; the tuple constructor is a thin wrapper that turns the tuples
@@ -64,15 +68,14 @@ class Graph:
     """
 
     __slots__ = (
-        "labels", "bond_u", "bond_v", "bond_c", "marked", "window",
-        "truncated", "measure", "_adjacency", "_cache",
+        "labels", "bond_u", "bond_v", "bond_c", "marked", "truncated",
+        "measure", "_adjacency", "_cache",
     )
 
     def __init__(
         self,
         bonds: Iterable[tuple[int, int, float]],
         marked: int,
-        window: tuple[int, int] | None = None,
         truncated: bool = False,
     ) -> None:
         triples = list(bonds)
@@ -80,7 +83,7 @@ class Graph:
             np.asarray([t[0] for t in triples], dtype=np.int64),
             np.asarray([t[1] for t in triples], dtype=np.int64),
             np.asarray([t[2] for t in triples], dtype=np.float64),
-            marked, window, truncated,
+            marked, truncated,
         )
 
     @classmethod
@@ -90,7 +93,6 @@ class Graph:
         v: ArrayLike,
         c: ArrayLike,
         marked: int,
-        window: tuple[int, int] | None = None,
         truncated: bool = False,
     ) -> "Graph":
         """Graph with bonds (u[i], v[i], c[i]), kept in that order.
@@ -103,7 +105,7 @@ class Graph:
             np.asarray(u, dtype=np.int64),
             np.asarray(v, dtype=np.int64),
             np.array(c, dtype=np.float64),
-            marked, window, truncated,
+            marked, truncated,
         )
         return g
 
@@ -113,7 +115,6 @@ class Graph:
         v: np.ndarray,
         c: np.ndarray,
         marked: int,
-        window: tuple[int, int] | None,
         truncated: bool,
     ) -> None:
         if not (u.ndim == v.ndim == c.ndim == 1 and u.size == v.size == c.size):
@@ -136,9 +137,6 @@ class Graph:
         if marked not in labels:
             raise InvalidArgumentError(f"marked vertex {marked} is not in the graph")
         self.marked = int(marked)
-        if window is None:
-            window = (int(labels[0]), int(labels[-1]))
-        self.window = (int(window[0]), int(window[1]))
         self.truncated = bool(truncated)
 
         # both directions of every bond; the CSR conversion sums duplicates
@@ -268,6 +266,11 @@ class Graph:
             raise InvalidArgumentError("radius must be a positive integer")
         return float(self.measure[d < radius].sum())
 
+    @property
+    def window(self) -> tuple[int, int]:
+        """The label range: lowest and highest label."""
+        return int(self.labels[0]), int(self.labels[-1])
+
     def half_width(self) -> int:
         lo, hi = self.window
         return int(min(self.marked - lo, hi - self.marked))
@@ -283,13 +286,12 @@ class Graph:
     # -- perturbation ------------------------------------------------------
 
     def with_bond(self, u: int, v: int, conductance: float = 1.0) -> "Graph":
-        """A copy with one extra bond (labels may be new)."""
+        """A copy with one extra bond (labels may be new, and widen the window)."""
         return Graph.from_arrays(
             np.append(self.labels[self.bond_u], int(u)),
             np.append(self.labels[self.bond_v], int(v)),
             np.append(self.bond_c, float(conductance)),
             marked=self.marked,
-            window=None if not self.truncated else self.window,
             truncated=self.truncated,
         )
 
@@ -358,4 +360,10 @@ def loads_edge_list(text: str) -> Graph:
             c.append(float(parts[2]))
         except ValueError as exc:
             raise InvalidArgumentError(f"malformed edge-list line: {ln!r}") from exc
-    return Graph.from_arrays(u, v, c, marked=marked, window=window, truncated=truncated)
+    g = Graph.from_arrays(u, v, c, marked=marked, truncated=truncated)
+    if g.window != window:
+        raise InvalidArgumentError(
+            f"header window {window[0]},{window[1]} is not the label range "
+            f"{g.window[0]},{g.window[1]}"
+        )
+    return g

@@ -48,9 +48,7 @@ from .scaling import (
     displacement_scale,
     evaluate_good_scale,
     failure_decay_fit,
-    fit_displacement_exponent,
-    fit_exit_exponent,
-    fit_range_exponent,
+    fit_loglog,
     fit_spectral_dimension,
     tightness_table,
 )
@@ -94,6 +92,7 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
     dist = g.distances_from(origin, metric)
     volume_growth, resistance_growth = growth_functions(config)
 
+    # a loop of its own, not scale_observables: perfbench wraps the solver names here
     radii_all = sorted(set(config.radius_grid) | set(config.goodscale_radii))
     volumes = {R: float(g.measure[dist < R].sum()) for R in radii_all}
     complement = {}
@@ -298,7 +297,7 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
         series["exit_ratio"] = series["exit"]["mean"] / prediction_R
         series["resistance_volume_ratio"] = series["resistance_volume"]["mean"] / prediction_R
         exit_ratio_matrix = exit_samples / prediction_R
-        summary["fits_exit"] = _fit_or_error(fit_exit_exponent, radii, series["exit"]["mean"])
+        summary["fits_exit"] = _fit_or_error(fit_loglog, radii, series["exit"]["mean"])
 
     if times:
         p2m_samples = np.asarray(
@@ -321,10 +320,10 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
             fit_spectral_dimension, m_grid, series["kernel"]["mean"]
         )
         summary["fits_range"] = _fit_or_error(
-            fit_range_exponent, times, series["range_weight"]["mean"]
+            fit_loglog, times, series["range_weight"]["mean"]
         )
         summary["fits_displacement"] = _fit_or_error(
-            fit_displacement_exponent, times, series["displacement"]["mean"]
+            fit_loglog, times, series["displacement"]["mean"]
         )
 
     summary["series"] = series

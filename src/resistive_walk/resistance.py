@@ -244,44 +244,6 @@ def max_pointwise_ratios(
     return out
 
 
-@dataclass(frozen=True)
-class ProfileRow:
-    radius: int
-    complement_resistance: float
-    max_pointwise_ratio: float
-
-
-def resistance_profile(
-    g: Graph,
-    radii: Sequence[int],
-    metric: str = "line",
-    resistance_growth: Callable[[float], float] | None = None,
-) -> list[ProfileRow]:
-    """Per radius: R_eff(marked, outside the ball) and the worst pointwise ratio.
-
-    The ratio column is max over ball vertices y != marked of
-    R_eff(marked, y) / r(d(marked, y)) for the supplied growth r
-    (identity when omitted).
-    """
-    radii = sorted(int(R) for R in radii)
-    if not radii or radii[0] < 1:
-        raise InvalidArgumentError("radii must be positive integers")
-    for R in radii:
-        g.check_probe_radius(R)
-    dist = g.distances_from(g.marked, metric)
-    complements = []
-    for R in radii:
-        outside = g.labels[dist >= R]
-        if outside.size == 0:
-            raise InvalidArgumentError(f"ball of radius {R} covers the whole graph")
-        complements.append(effective_resistance(g, [g.marked], outside))
-    ratios = max_pointwise_ratios(g, radii, metric, resistance_growth)
-    return [
-        ProfileRow(R, reff, ratio)
-        for R, reff, (ratio, _) in zip(radii, complements, ratios)
-    ]
-
-
 # -- long-bond projection ---------------------------------------------------
 
 

@@ -11,7 +11,7 @@ membership is monotone in lam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -117,21 +117,36 @@ class ScaleObservables:
 
 def scale_observables(
     g: Graph,
-    radius: int,
+    radii: Sequence[int],
     metric: str = "line",
     resistance_growth: GrowthFunction | None = None,
-) -> ScaleObservables:
-    """Measure the three clause quantities at one radius."""
-    g.check_probe_radius(radius)
+) -> list[ScaleObservables]:
+    """Measure the three clause quantities at each radius.
+
+    Radii come back sorted, duplicates kept.  Each must be positive, pass
+    `check_probe_radius` and leave some vertex outside its ball.  The
+    pointwise ratios of every radius come from one `max_pointwise_ratios`
+    call, so one factorization serves them all.
+    """
+    radii = sorted(int(R) for R in radii)
+    if not radii or radii[0] < 1:
+        raise InvalidArgumentError("radii must be positive integers")
+    for R in radii:
+        g.check_probe_radius(R)
     dist = g.distances_from(g.marked, metric)
-    inside = dist < radius
-    outside_labels = g.labels[~inside]
-    if outside_labels.size == 0:
-        raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
-    volume = float(g.measure[inside].sum())
-    reff = effective_resistance(g, [g.marked], outside_labels)
-    max_ratio, witness = max_pointwise_ratios(g, [radius], metric, resistance_growth)[0]
-    return ScaleObservables(int(radius), volume, reff, max_ratio, witness)
+    observables = []
+    for R in radii:
+        inside = dist < R
+        outside = g.labels[~inside]
+        if outside.size == 0:
+            raise InvalidArgumentError(f"ball of radius {R} covers the whole graph")
+        volume = float(g.measure[inside].sum())
+        observables.append((R, volume, effective_resistance(g, [g.marked], outside)))
+    ratios = max_pointwise_ratios(g, radii, metric, resistance_growth)
+    return [
+        ScaleObservables(R, volume, reff, ratio, witness)
+        for (R, volume, reff), (ratio, witness) in zip(observables, ratios)
+    ]
 
 
 @dataclass(frozen=True)
@@ -177,70 +192,14 @@ def check_good_scale(
     metric: str = "line",
 ) -> GoodScaleReport:
     """Full three-clause membership test for one (radius, tolerance) pair."""
-    obs = scale_observables(g, radius, metric, resistance_growth)
+    obs = scale_observables(g, [radius], metric, resistance_growth)[0]
     return evaluate_good_scale(obs, tolerance, volume_growth, resistance_growth)
 
 
 # -- log-log fits -------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class LogLogFit:
-    slope: float
-    intercept: float
-    stderr: float
-    window: tuple[float, float]
-    n_points: int
-    full_slope: float
-    full_stderr: float
-
-
-def _ols_loglog(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    lx = np.log(xs)
-    ly = np.log(ys)
-    mx = lx.mean()
-    sxx = float(np.sum((lx - mx) ** 2))
-    if sxx == 0:
-        raise InvalidArgumentError("fit needs at least two distinct abscissae")
-    slope = float(np.sum((lx - mx) * (ly - ly.mean())) / sxx)
-    intercept = float(ly.mean() - slope * mx)
-    resid = ly - (intercept + slope * lx)
-    dof = xs.size - 2
-    stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if dof > 0 else 0.0
-    return slope, intercept, stderr
-
-
-def fit_loglog(xs: Sequence[float], ys: Sequence[float], min_points: int = 2) -> LogLogFit:
-    """Least-squares slope on logs, full range and with the smallest decade dropped.
-
-    The windowed slope uses only abscissae above ten times the smallest,
-    falling back to the full range when that leaves fewer than four
-    points.  Values must be positive and abscissae strictly increasing.
-    """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.size != y.size or x.size < min_points:
-        raise InvalidArgumentError(f"fit needs at least {min_points} matched points")
-    if np.any(x <= 0) or np.any(np.diff(x) <= 0):
-        raise InvalidArgumentError("abscissae must be positive and strictly increasing")
-    if np.any(y <= 0) or not np.all(np.isfinite(y)):
-        raise InvalidArgumentError(
-            "fit values must be positive and finite (series may be truncation-contaminated)"
-        )
-    full_slope, _, full_stderr = _ols_loglog(x, y)
-    keep = x >= 10.0 * x[0]
-    if keep.sum() < 4:
-        keep = np.ones_like(keep)
-    slope, intercept, stderr = _ols_loglog(x[keep], y[keep])
-    return LogLogFit(
-        slope=slope,
-        intercept=intercept,
-        stderr=stderr,
-        window=(float(x[keep][0]), float(x[keep][-1])),
-        n_points=int(keep.sum()),
-        full_slope=full_slope,
-        full_stderr=full_stderr,
-    )
+# fewest points an exponent fit accepts
+MIN_FIT_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -253,39 +212,71 @@ class ExponentFit:
     full_stderr: float
 
 
-def _exponent_fit(xs, ys, multiplier: float) -> ExponentFit:
-    fit = fit_loglog(xs, ys, min_points=8)
+def _ols_loglog(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of log ys against log xs, and its standard error."""
+    lx = np.log(xs)
+    ly = np.log(ys)
+    mx = lx.mean()
+    sxx = float(np.sum((lx - mx) ** 2))
+    if sxx == 0:
+        raise InvalidArgumentError("fit needs at least two distinct abscissae")
+    slope = float(np.sum((lx - mx) * (ly - ly.mean())) / sxx)
+    intercept = float(ly.mean() - slope * mx)
+    resid = ly - (intercept + slope * lx)
+    dof = xs.size - 2
+    stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if dof > 0 else 0.0
+    return slope, stderr
+
+
+def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentFit:
+    """Least-squares slope on logs, full range and with the smallest decade dropped.
+
+    The windowed slope uses only abscissae above ten times the smallest,
+    falling back to the full range when that leaves fewer than four
+    points.  At least MIN_FIT_POINTS points are needed; values must be
+    positive and abscissae strictly increasing.
+    """
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if x.size != y.size or x.size < MIN_FIT_POINTS:
+        raise InvalidArgumentError(f"fit needs at least {MIN_FIT_POINTS} matched points")
+    if np.any(x <= 0) or np.any(np.diff(x) <= 0):
+        raise InvalidArgumentError("abscissae must be positive and strictly increasing")
+    if np.any(y <= 0) or not np.all(np.isfinite(y)):
+        raise InvalidArgumentError(
+            "fit values must be positive and finite (series may be truncation-contaminated)"
+        )
+    full_slope, full_stderr = _ols_loglog(x, y)
+    keep = x >= 10.0 * x[0]
+    if keep.sum() < 4:
+        keep = np.ones_like(keep)
+    slope, stderr = _ols_loglog(x[keep], y[keep])
     return ExponentFit(
-        value=multiplier * fit.slope,
-        stderr=abs(multiplier) * fit.stderr,
-        window=fit.window,
-        n_points=fit.n_points,
-        full_value=multiplier * fit.full_slope,
-        full_stderr=abs(multiplier) * fit.full_stderr,
+        value=slope,
+        stderr=stderr,
+        window=(float(x[keep][0]), float(x[keep][-1])),
+        n_points=int(keep.sum()),
+        full_value=full_slope,
+        full_stderr=full_stderr,
     )
 
 
 def fit_spectral_dimension(ns: Sequence[float], p2ns: Sequence[float]) -> ExponentFit:
     """Spectral dimension: -2 times the slope of log p_2n against log n."""
-    return _exponent_fit(ns, p2ns, -2.0)
-
-
-def fit_exit_exponent(radii: Sequence[float], mean_exit: Sequence[float]) -> ExponentFit:
-    """Slope of log E[exit time] against log R."""
-    return _exponent_fit(radii, mean_exit, 1.0)
-
-
-def fit_range_exponent(ns: Sequence[float], mean_range: Sequence[float]) -> ExponentFit:
-    """Slope of log E[measure of the visited set] against log n."""
-    return _exponent_fit(ns, mean_range, 1.0)
-
-
-def fit_displacement_exponent(ns: Sequence[float], mean_disp: Sequence[float]) -> ExponentFit:
-    """Slope of log E[distance from the origin] against log n."""
-    return _exponent_fit(ns, mean_disp, 1.0)
+    fit = fit_loglog(ns, p2ns)
+    return replace(
+        fit,
+        value=-2.0 * fit.value,
+        stderr=2.0 * fit.stderr,
+        full_value=-2.0 * fit.full_value,
+        full_stderr=2.0 * fit.full_stderr,
+    )
 
 
 # -- ensemble aggregation ------------------------------------------------------
+
+BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
@@ -328,7 +319,7 @@ def failure_decay_fit(
             break
     if len(xs) < 2:
         return DecayFit(math.inf, tuple(xs), tuple(ys), floored)
-    slope, _, _ = _ols_loglog(np.asarray(xs), np.asarray(ys))
+    slope, _ = _ols_loglog(np.asarray(xs), np.asarray(ys))
     return DecayFit(-slope, tuple(xs), tuple(ys), floored)
 
 
@@ -381,15 +372,18 @@ def tightness_table(
 
 
 def bootstrap_mean_ci(
-    samples: np.ndarray, seed: int, n_resamples: int = 1000, level: float = 0.95
+    samples: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column means with percentile bootstrap bands over the rows."""
+    """Column means with percentile bootstrap bands over the rows.
+
+    BOOTSTRAP_RESAMPLES resamples give a central BOOTSTRAP_LEVEL band.
+    """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n = samples.shape[0]
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(n_resamples, n))
+    idx = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
     means = samples[idx].mean(axis=1)
-    tail = 100.0 * (1.0 - level) / 2.0
+    tail = 100.0 * (1.0 - BOOTSTRAP_LEVEL) / 2.0
     lo = np.percentile(means, tail, axis=0)
     hi = np.percentile(means, 100.0 - tail, axis=0)
     return samples.mean(axis=0), lo, hi

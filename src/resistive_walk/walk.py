@@ -93,11 +93,12 @@ def heat_kernel_exact(
     reach = np.cumsum(np.bincount(hops))  # reach[h] = |{hop <= h}|
     mu = g.weighted_degree()[order]
 
-    # window-edge vertices, as ascending positions in hop order, and the
-    # first step at which the walk can stand on one
+    # window-edge vertices (the lowest and highest label, indices 0 and
+    # n - 1), as ascending positions in hop order, and the first step at
+    # which the walk can stand on one
     edge = np.zeros(0, dtype=np.int64)
     if g.truncated:
-        edge = np.flatnonzero(np.isin(g.labels[order], g.window))
+        edge = np.flatnonzero((order == 0) | (order == n - 1))
     edge_step = int(hops[order[edge[0]]]) if edge.size else n_steps + 1
 
     def label_order(x: np.ndarray) -> np.ndarray:
@@ -177,10 +178,9 @@ class WalkStatistics:
     def n_trajectories(self) -> int:
         return self.exit_time.shape[0]
 
-    def mean_exit_time(self, radius: int, include_censored: bool = False) -> float:
+    def mean_exit_time(self, radius: int) -> float:
+        """Mean exit time over the trajectories that exited by the horizon."""
         j = int(np.nonzero(self.radii == radius)[0][0])
-        if include_censored:
-            return float(self.exit_time[:, j].mean())
         live = ~self.censored[:, j]
         if not live.any():
             raise InvalidArgumentError(f"all trajectories censored at radius {radius}")

@@ -48,6 +48,17 @@ def test_profile_command(line_file, capsys):
     assert float(ratio) == pytest.approx(1.0)
 
 
+def test_profile_sorts_radii_and_keeps_duplicates(tmp_path, capsys):
+    path = tmp_path / "lrp.edges"
+    assert main(["generate", "--model", "lrp", "--half-width", "64",
+                 "--seed", "3", "--out", str(path)]) == 0
+    assert main(["profile", str(path), "--radii", "2,8"]) == 0
+    header, two, eight = capsys.readouterr().out.splitlines()
+    assert (two.split(",")[0], eight.split(",")[0]) == ("2", "8")
+    assert main(["profile", str(path), "--radii", "8,2,8"]) == 0
+    assert capsys.readouterr().out.splitlines() == [header, two, eight, eight]
+
+
 def test_heatkernel_command(line_file, capsys):
     assert main(["heatkernel", str(line_file), "--steps", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -90,13 +101,17 @@ def test_missing_graph_file_exits_2(tmp_path, capsys):
     "content",
     [b"# marked=0 window=0,1 truncated=yes\n0 1 1.0\n",
      b"# marked=0 window=0,1 truncated=2\n0 1 1.0\n",
-     b"# marked=0 window=0,1\n0 1 \xff\n"],
-    ids=["truncated-yes", "truncated-2", "not-utf8"],
+     b"# marked=0 window=0,1\n0 1 \xff\n",
+     # the path -2..2 under a header that states a wider window
+     b"# marked=0 window=-100,100 truncated=1\n-2 -1 1.0\n-1 0 1.0\n0 1 1.0\n1 2 1.0\n"],
+    ids=["truncated-yes", "truncated-2", "not-utf8", "window-not-label-range"],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "bad.edges"
     path.write_bytes(content)
     assert main(["resistance", str(path), "--source", "0", "--target", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["heatkernel", str(path), "--steps", "4"]) == 2
     assert "error:" in capsys.readouterr().err
 
 

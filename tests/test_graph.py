@@ -310,6 +310,13 @@ def test_with_bond_adds_a_bond():
     assert g.n_bonds == 3
 
 
+def test_with_bond_past_a_truncated_window_widens_it(line64):
+    h = line64.with_bond(3, 100)
+    assert h.truncated
+    assert h.window == (-64, 100)
+    assert h.half_width() == 64
+
+
 def test_edge_list_round_trip(lrp128):
     text = dumps_edge_list(lrp128)
     h = loads_edge_list(text)
@@ -349,6 +356,16 @@ def test_loads_rejects_malformed_line():
     assert loads_edge_list("# marked=0 window=0,1 truncated=1\n0 1 1.0\n").truncated
 
 
+def test_loads_refuses_a_window_that_is_not_the_label_range():
+    path_bonds = "".join(f"{x} {x + 1} 1.0\n" for x in range(-2, 2))
+    for header in ("# marked=0 window=-100,100 truncated=1\n",
+                   "# marked=0 window=-2,3 truncated=1\n",
+                   "# marked=0 window=-1,2\n"):
+        with pytest.raises(InvalidArgumentError, match="not the label range -2,2"):
+            loads_edge_list(header + path_bonds)
+    assert loads_edge_list("# marked=0 window=-2,2 truncated=1\n" + path_bonds).window == (-2, 2)
+
+
 def test_read_edge_list_rejects_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_bytes(b"# marked=0 window=0,1\n0 1 \xff\n")
@@ -373,9 +390,8 @@ def _assert_same_graph(a, b):
     assert (a.marked, a.window, a.truncated) == (b.marked, b.window, b.truncated)
 
 
-def _tuple_twin(g, **kwargs):
-    return Graph(list(g.bonds()), marked=g.marked, window=g.window,
-                 truncated=g.truncated, **kwargs)
+def _tuple_twin(g):
+    return Graph(list(g.bonds()), marked=g.marked, truncated=g.truncated)
 
 
 # the fixtures' bonds as tuples, in order
@@ -394,8 +410,7 @@ def test_fixtures_match_the_tuple_path(name, size):
     g = fixture(name, size)
     bonds = [(u, v, 1.0) for u, v in FIXTURE_BONDS[name, size]]
     assert list(g.bonds()) == bonds
-    window = (-size, size) if name == "line" else None
-    _assert_same_graph(g, Graph(bonds, marked=0, window=window, truncated=name == "line"))
+    _assert_same_graph(g, Graph(bonds, marked=0, truncated=name == "line"))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -432,8 +447,7 @@ def test_generated_windows_match_tuple_path(params):
     _assert_same_graph(g, _tuple_twin(g))
     _assert_same_graph(loads_edge_list(dumps_edge_list(g)), g)
     h = g.with_bond(-3, 7, 0.5)
-    _assert_same_graph(h, Graph(list(g.bonds()) + [(-3, 7, 0.5)], marked=0,
-                                window=g.window, truncated=True))
+    _assert_same_graph(h, Graph(list(g.bonds()) + [(-3, 7, 0.5)], marked=0, truncated=True))
 
 
 @pytest.mark.parametrize("name", list(GAPPED))

@@ -13,11 +13,13 @@ from resistive_walk.pipeline import (
     WORKERS_ENV,
     build_graph,
     graph_seed,
+    growth_functions,
     member_observables,
     run,
     walk_seed,
 )
 from resistive_walk.resistance import effective_resistance
+from resistive_walk.scaling import evaluate_good_scale, scale_observables
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +100,27 @@ def test_member_complement_matches_direct_solve(mini_config):
         assert reff == pytest.approx(
             effective_resistance(g, [0], outside), rel=1e-9
         )
+
+
+def test_scale_observables_match_member_observables(mini_config):
+    # the library's ball routine and the pipeline's own loop agree bit for bit
+    res = member_observables(mini_config, 0)
+    g = build_graph(mini_config, 0)
+    volume_growth, resistance_growth = growth_functions(mini_config)
+    rows = scale_observables(
+        g, mini_config.goodscale_radii, mini_config.metric, resistance_growth
+    )
+    assert [row.radius for row in rows] == list(mini_config.goodscale_radii)
+    for row in rows:
+        R = row.radius
+        assert repr((row.volume, row.complement_resistance,
+                     row.max_pointwise_ratio, row.witness)) == repr(
+            (res["volumes"][R], res["complement"][R], *res["pointwise"][R])
+        )
+        assert res["goodscale"][R] == [
+            evaluate_good_scale(row, lam, volume_growth, resistance_growth)
+            for lam in mini_config.tolerance_grid
+        ]
 
 
 def test_run_writes_expected_files(mini_run):

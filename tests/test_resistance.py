@@ -14,9 +14,8 @@ from resistive_walk.resistance import (
     max_pointwise_ratios,
     project_long_bonds,
     projected_complement_resistance,
-    resistance_profile,
 )
-from resistive_walk.scaling import GrowthFunction
+from resistive_walk.scaling import GrowthFunction, scale_observables
 
 FIXTURES = [
     ("path", 3),
@@ -177,7 +176,7 @@ def test_failed_factorization_raises_solver_error(monkeypatch, lrp128):
 
 
 def test_profile_complement_resistances(line64):
-    rows = resistance_profile(line64, [2, 4, 8], metric="line")
+    rows = scale_observables(line64, [2, 4, 8], metric="line")
     # two arms of length R in parallel
     for row in rows:
         assert row.complement_resistance == pytest.approx(row.radius / 2, rel=1e-9)
@@ -186,7 +185,7 @@ def test_profile_complement_resistances(line64):
 
 def test_profile_rejects_nonpositive_radii(line64):
     with pytest.raises(InvalidArgumentError):
-        resistance_profile(line64, [0, 2], metric="line")
+        scale_observables(line64, [0, 2], metric="line")
 
 
 def test_projection_reproduces_shorted_chord():

@@ -211,7 +211,7 @@ def test_simulation_matches_visited_array_reference(chunk_size):
     w = generate_long_range(LongRangeParams(96, 1.0, 2.2, seed=4))
     c = 1.0 + 2.0 * np.random.default_rng(4).random(w.n_bonds)
     g = Graph.from_arrays(w.labels[w.bond_u], w.labels[w.bond_v], c, marked=0,
-                          window=w.window, truncated=True)
+                          truncated=True)
     grid = np.asarray([1, 5, 5, 17, 40, 64])
     radii = (2, 9, 30)
     n_traj = 23
