@@ -10,10 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import PRESET_NAMES, load_config, load_preset, with_overrides
+from .config import MODELS, PRESET_NAMES, load_config, load_preset, with_overrides
 from .errors import ConfigError, InvalidArgumentError, SolverError
 from .generate import ExpTailParams, LongRangeParams, fixture, generate_exp_tail, generate_long_range
-from .graph import dumps_edge_list, read_edge_list, write_edge_list
+from .graph import METRICS, dumps_edge_list, read_edge_list, write_edge_list
 from .pipeline import run as run_pipeline
 from .report import report as build_report
 from .resistance import effective_resistance
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_report)
 
     sub = subs.add_parser("generate", help="write one graph as an edge list")
-    sub.add_argument("--model", choices=("lrp", "exp", "fixture"), required=True)
+    sub.add_argument("--model", choices=MODELS, required=True)
     sub.add_argument("--half-width", type=int, default=128)
     sub.add_argument("--beta", type=float, default=1.0)
     sub.add_argument("--tail-exponent", type=float, default=3.5)
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("profile", help="resistance profile around the marked vertex")
     _add_graph_arg(sub)
     sub.add_argument("--radii", required=True, help="comma-separated radii")
-    sub.add_argument("--metric", choices=("graph", "line"), default="line")
+    sub.add_argument("--metric", choices=METRICS, default="line")
     sub.set_defaults(func=_cmd_profile)
 
     sub = subs.add_parser("heatkernel", help="return probabilities at the marked vertex")
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--volume-log-power", type=float, default=0.0)
     sub.add_argument("--resistance-exponent", type=float, default=1.0)
     sub.add_argument("--resistance-log-power", type=float, default=0.0)
-    sub.add_argument("--metric", choices=("graph", "line"), default="line")
+    sub.add_argument("--metric", choices=METRICS, default="line")
     sub.set_defaults(func=_cmd_jcheck)
 
     sub = subs.add_parser("walk", help="sample trajectories from the marked vertex")
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trajectories", type=int, default=256)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--radius", type=int, required=True)
-    sub.add_argument("--metric", choices=("graph", "line"), default="graph")
+    sub.add_argument("--metric", choices=METRICS, default="graph")
     sub.set_defaults(func=_cmd_walk)
     return parser
 

@@ -190,7 +190,11 @@ def effective_half_width(config: ExperimentConfig) -> int:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    return parse_config(text)
 
 
 def load_preset(name: str) -> ExperimentConfig:

@@ -3,9 +3,11 @@
 Vertices carry integer labels (positions on the line for window graphs).
 Bonds form a multiset: parallel bonds are kept, and in the merged
 adjacency, which scipy builds once per graph, their conductances add.  The
-vertex measure mu is the weighted degree: the row sums of that adjacency.
-A graph's window is its label range, lowest to highest label; it is
-derived from the labels, never stated, so its ends are always vertices.
+vertex measure mu is the weighted degree: the row sums of that adjacency,
+held once as `Graph.measure`.  Volumes, every Laplacian, exit-time read,
+kernel step and walk step read that one array.  A graph's window is its
+label range, lowest to highest label; it is derived from the labels, never
+stated, so its ends are always vertices.
 """
 
 from __future__ import annotations
@@ -54,13 +56,12 @@ class Graph:
     A graph holds O(n + bonds) memory: the labels, the bond arrays, the
     merged adjacency, the measure and cached distances.
 
-    Facts that never change are computed once per graph.  The merged
-    adjacency is a scipy CSR matrix over both directions of every bond,
-    parallel conductances summed; it is built with the graph, because the
-    checks that every vertex has measure >= 1 and that the graph is
-    connected read it.  The measure is its row sums, kept as one read-only
-    array: `measure` and `weighted_degree()` are that array, so volumes,
-    every Laplacian, exit-time read and transition step use the same mu.
+    Facts that never change are computed once per graph, and each has one
+    name.  `adjacency()` is the merged adjacency W, a scipy CSR matrix over
+    both directions of every bond, parallel conductances summed; it is
+    built with the graph, because the checks that every vertex has measure
+    >= 1 and that the graph is connected read it.  `measure` is mu, the row
+    sums of W, kept as a read-only array; nothing else derives a measure.
     `indices` guesses each label's position as label - labels[0], which is
     right on contiguous labels such as a window's, and binary-searches only
     the guesses that miss; the bond ends are looked up the same way when
@@ -205,23 +206,11 @@ class Graph:
                 float(self.bond_c[i]),
             )
 
-    def total_measure(self) -> float:
-        return float(self.measure.sum())
-
     # -- merged adjacency ------------------------------------------------
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Merged adjacency (indptr, indices, weights); parallel conductances add."""
-        adj = self._adjacency
-        return adj.indptr, adj.indices, adj.data
-
     def adjacency(self) -> csr_matrix:
-        """Merged weighted adjacency as a scipy CSR matrix."""
+        """Merged weighted adjacency W (scipy CSR); parallel conductances add."""
         return self._adjacency
-
-    def weighted_degree(self) -> np.ndarray:
-        """Row sums of the merged adjacency: the measure, read-only."""
-        return self.measure
 
     def _connected(self) -> bool:
         ncomp, _ = connected_components(self.adjacency(), directed=False)

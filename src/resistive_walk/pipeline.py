@@ -12,7 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .generate import (
     generate_long_range,
     mix_seed,
 )
-from .graph import Graph, write_edge_list
+from .graph import Graph, dumps_edge_list
 from .resistance import (
     OriginResistanceCache,
     effective_resistance,
@@ -85,7 +85,7 @@ def growth_functions(config: ExperimentConfig) -> tuple[GrowthFunction, GrowthFu
 
 
 def member_observables(config: ExperimentConfig, index: int) -> dict:
-    """All per-graph observables for one ensemble member."""
+    """All per-graph observables for one ensemble member, and its graph as text if stored."""
     g = build_graph(config, index)
     origin = g.marked
     metric = config.metric
@@ -94,7 +94,7 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
 
     # a loop of its own, not scale_observables: perfbench wraps the solver names here
     radii_all = sorted(set(config.radius_grid) | set(config.goodscale_radii))
-    volumes = {R: float(g.measure[dist < R].sum()) for R in radii_all}
+    volumes = {R: g.volume(origin, R, metric) for R in radii_all}
     complement = {}
     for R in radii_all:
         outside = g.labels[dist >= R]
@@ -176,6 +176,7 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
         "walk": walk_rows,
         "disp_matrix": disp_matrix,
         "mc_exit": mc_exit,
+        "edge_list": dumps_edge_list(g) if config.store_graphs else None,
     }
 
 
@@ -232,14 +233,7 @@ def _fit_or_error(fit_fun, xs, ys) -> dict:
         fit = fit_fun(xs, ys)
     except InvalidArgumentError as exc:
         return {"error": str(exc)}
-    return {
-        "value": fit.value,
-        "stderr": fit.stderr,
-        "window": list(fit.window),
-        "n_points": fit.n_points,
-        "full_value": fit.full_value,
-        "full_stderr": fit.full_stderr,
-    }
+    return asdict(fit)
 
 
 def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
@@ -496,8 +490,9 @@ def run(
     if config.store_graphs:
         graph_dir = target / "graphs"
         graph_dir.mkdir(exist_ok=True)
-        for i in indices:
-            write_edge_list(build_graph(config, i), graph_dir / f"graph_{i:04d}.edges")
+        for res in results:
+            path = graph_dir / f"graph_{res['index']:04d}.edges"
+            path.write_text(res["edge_list"], newline="\n")
 
     (target / "config.cfg").write_text(serialize_config(config))
     with open(target / "summary.json", "w", newline="\n") as fh:

@@ -43,7 +43,12 @@ def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) 
     summary_path = run_dir / "summary.json"
     if not summary_path.exists():
         raise InvalidArgumentError(f"no summary.json under {run_dir}")
-    summary = json.loads(summary_path.read_text())
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidArgumentError(f"cannot read {summary_path}: {exc}") from exc
+    if not (isinstance(summary, dict) and {"name", "ensemble", "config_hash"} <= summary.keys()):
+        raise InvalidArgumentError(f"{summary_path} lacks name, ensemble or config_hash")
     target = Path(outdir) if outdir is not None else run_dir / "report"
     target.mkdir(parents=True, exist_ok=True)
 

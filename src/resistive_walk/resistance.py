@@ -46,7 +46,7 @@ def _grounded_solver(
     the solution, its largest relative residual and the number of solves
     with the factor: 2 if a column block needed the refinement step, else 1.
     """
-    lap = (diags(g.weighted_degree()[free]) - g.adjacency()[free][:, free]).tocsc()
+    lap = (diags(g.measure[free]) - g.adjacency()[free][:, free]).tocsc()
     try:
         lu = splu(lap)
     except RuntimeError as exc:
@@ -182,25 +182,24 @@ class OriginResistanceCache:
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
-        ground = g.index(g.marked)
-        self._keep = np.delete(np.arange(g.n_vertices), ground)
+        self._ground = g.index(g.marked)
+        self._keep = np.delete(np.arange(g.n_vertices), self._ground)
         self._solve = _grounded_solver(g, self._keep)
-        self._known = np.full(g.n_vertices, np.nan)
-        self._known[ground] = 0.0
 
     def pair_resistance(self, labels: Sequence[int]) -> np.ndarray:
-        """R_eff(marked, y) for each label, in the given order."""
+        """R_eff(marked, y) per label, in the given order; repeats are solved once."""
         targets = self.graph.indices(labels)
-        missing = np.unique(targets[np.isnan(self._known[targets])])
-        rows = np.searchsorted(self._keep, missing)
-        for start in range(0, missing.size, _PAIR_COLUMNS):
+        values = np.zeros(self.graph.n_vertices)  # the ground's stays 0
+        free = np.unique(targets[targets != self._ground])
+        rows = np.searchsorted(self._keep, free)
+        for start in range(0, free.size, _PAIR_COLUMNS):
             chunk = rows[start:start + _PAIR_COLUMNS]
             cols = np.arange(chunk.size)
             rhs = np.zeros((self._keep.size, chunk.size))
             rhs[chunk, cols] = 1.0
             sols, _, _ = self._solve(rhs)
-            self._known[missing[start:start + _PAIR_COLUMNS]] = sols[chunk, cols]
-        return self._known[targets]
+            values[free[start:start + _PAIR_COLUMNS]] = sols[chunk, cols]
+        return values[targets]
 
 
 def max_pointwise_ratios(
@@ -221,8 +220,10 @@ def max_pointwise_ratios(
     differ by LU rounding (about 1e-13), and the rounding picks the
     witness.  A ball holding only the marked vertex gives (0.0, None).
     All pair resistances come from one `pair_resistance` call over the
-    largest ball.
+    largest ball; no radii give an empty list, and nothing is factored.
     """
+    if len(radii) == 0:
+        return []
     dist = g.distances_from(g.marked, metric)
     sel = (dist < max(radii)) & (g.labels != g.marked)
     if not sel.any():

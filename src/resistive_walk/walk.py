@@ -91,7 +91,7 @@ def heat_kernel_exact(
     hops = g.distances_from(origin, "graph")
     order = np.argsort(hops, kind="stable")  # the origin comes first
     reach = np.cumsum(np.bincount(hops))  # reach[h] = |{hop <= h}|
-    mu = g.weighted_degree()[order]
+    mu = g.measure[order]
 
     # window-edge vertices (the lowest and highest label, indices 0 and
     # n - 1), as ascending positions in hop order, and the first step at
@@ -148,7 +148,7 @@ def mean_exit_time_exact(g: Graph, origin: int, radius: int, metric: str = "grap
     if ball.size == g.n_vertices:
         raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
     row = green_row(g, ball, origin)
-    return float(row.values @ g.weighted_degree()[g.indices(row.domain)])
+    return float(row.values @ g.measure[g.indices(row.domain)])
 
 
 @dataclass(frozen=True)
@@ -208,10 +208,13 @@ def simulate(
     Trajectory i draws all its uniforms from the stream seeded by
     mix_seed(seed, i), so any batching gives identical paths.
 
+    From x, a uniform u picks the bond of the merged adjacency whose
+    cumulative conductance interval holds u * mu_x, mu being `g.measure`.
     Trajectories run `chunk_size` at a time, and each chunk records its
     vertex history.  The range statistics come from that history: the
     first visits of each trajectory, found with one scratch array over the
-    vertices, and the sequential sum of their measures in time order.
+    vertices; the range weight is the sum of `g.measure` over them, added
+    in time order.
     Memory is O(n_vertices + chunk_size * n_steps) on top of the
     per-trajectory outputs; nothing of size chunk_size * n_vertices is
     allocated.
@@ -228,13 +231,12 @@ def simulate(
         if grid.size == 0 or grid[0] < 1 or grid[-1] > n_steps:
             raise InvalidArgumentError("time grid must lie in 1..n_steps")
 
-    indptr, indices, weights = g.csr()
+    adj = g.adjacency()
     # scipy may narrow CSR indices to int32, and indexing with int32 arrays
     # converts them to intp on every step
-    indptr, indices = indptr.astype(np.intp), indices.astype(np.intp)
-    edge_cum = np.concatenate([[0.0], np.cumsum(weights)])
-    row_span = edge_cum[indptr[1:]] - edge_cum[indptr[:-1]]
-    mu = row_span  # weighted degree, in the same float accumulation
+    indptr, indices = adj.indptr.astype(np.intp), adj.indices.astype(np.intp)
+    edge_cum = np.concatenate([[0.0], np.cumsum(adj.data)])
+    mu = g.measure
     dist = g.distances_from(origin, metric)
     oi = g.index(origin)
     n = g.n_vertices
@@ -269,7 +271,7 @@ def simulate(
         x_hist = np.empty((m, n_steps + 1), dtype=np.int32)
         x_hist[:, 0] = oi
         for t in range(1, n_steps + 1):
-            target = edge_cum[indptr[x]] + uniforms[:, t - 1] * row_span[x]
+            target = edge_cum[indptr[x]] + uniforms[:, t - 1] * mu[x]
             pos = np.searchsorted(edge_cum, target, side="right") - 1
             pos = np.clip(pos, indptr[x], indptr[x + 1] - 1)
             x = indices[pos]

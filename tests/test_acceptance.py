@@ -254,7 +254,8 @@ def test_annealed_ratio_spread(lrp_record):
 
 def _mc_hits_first(g, start, targets, others, n_walkers, seed):
     """Fraction of walkers reaching `targets` strictly before `others`."""
-    indptr, indices, weights = g.csr()
+    adj = g.adjacency()
+    indptr, indices, weights = adj.indptr, adj.indices, adj.data
     n = g.n_vertices
     cum = np.zeros((n, n))
     for i in range(n):

@@ -115,6 +115,22 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, files",
+    [(["report", "."], {"summary.json": b"{not json"}),
+     (["report", "."], {"summary.json": b"{}\n"}),
+     (["run", "."], {}),
+     (["run", "bad.cfg"], {"bad.cfg": b"name = x\nmodel = lrp\n# \xff\n"})],
+    ids=["report-not-json", "report-empty-object", "run-directory", "run-config-not-utf8"],
+)
+def test_unreadable_run_input_exits_2(tmp_path, capsys, argv, files):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    command, target = argv
+    assert main([command, str(tmp_path / target)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_config_exits_2(capsys):
     assert main(["run", "no-such-config.cfg"]) == 2
     assert "no config file or preset" in capsys.readouterr().err

@@ -25,7 +25,7 @@ def test_basic_accessors():
     assert g.marked == 0
     assert g.window == (0, 3)
     assert not g.truncated
-    assert g.total_measure() == pytest.approx(6.0)
+    assert g.measure.sum() == pytest.approx(6.0)
     assert list(g.bonds()) == [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
 
 
@@ -203,15 +203,15 @@ def _check_merged_adjacency(g, bonds):
     for a, b, c in bonds:
         dense[where[a], where[b]] += c
         dense[where[b], where[a]] += c
-    indptr, indices, weights = g.csr()
+    adj = g.adjacency()
+    indptr, indices, weights = adj.indptr, adj.indices, adj.data
     for i in range(g.n_vertices):
         cols = np.flatnonzero(dense[i])
         assert indices[indptr[i]:indptr[i + 1]].tolist() == cols.tolist()
         np.testing.assert_allclose(weights[indptr[i]:indptr[i + 1]], dense[i, cols],
                                    rtol=1e-15, atol=0)
-    row_sums = np.asarray(g.adjacency().sum(axis=1)).ravel()
+    row_sums = np.asarray(adj.sum(axis=1)).ravel()
     assert g.measure.tobytes() == row_sums.tobytes()
-    assert g.measure is g.weighted_degree()
     assert not g.measure.flags.writeable
     np.testing.assert_allclose(g.measure, dense.sum(axis=1), rtol=1e-14, atol=0)
 
@@ -219,9 +219,9 @@ def _check_merged_adjacency(g, bonds):
 def test_parallel_bonds_merge_in_csr():
     g = Graph([(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0)], marked=0)
     assert g.n_bonds == 3
-    indptr, indices, weights = g.csr()
-    row0 = weights[indptr[0]:indptr[1]]
-    assert list(indices[indptr[0]:indptr[1]]) == [1]
+    adj = g.adjacency()
+    row0 = adj.data[adj.indptr[0]:adj.indptr[1]]
+    assert list(adj.indices[adj.indptr[0]:adj.indptr[1]]) == [1]
     assert row0 == pytest.approx([3.0])
     assert g.measure[0] == pytest.approx(3.0)
     for seed in range(6):
@@ -241,7 +241,7 @@ def test_generated_window_measure_counts_incident_bonds(params):
     g = generate._generate_window(params)
     counts = np.bincount(np.concatenate([g.bond_u, g.bond_v]), minlength=g.n_vertices)
     assert g.measure.tobytes() == counts.astype(np.float64).tobytes()
-    assert g.measure is g.weighted_degree()
+    assert not g.measure.flags.writeable
 
 
 def test_graph_metric_counts_hops():
@@ -385,8 +385,9 @@ def _assert_same_graph(a, b):
     for field in ("labels", "bond_u", "bond_v", "bond_c", "measure"):
         x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
-    for x, y in zip(a.csr(), b.csr()):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    for field in ("indptr", "indices", "data"):
+        x, y = getattr(a.adjacency(), field), getattr(b.adjacency(), field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
     assert (a.marked, a.window, a.truncated) == (b.marked, b.window, b.truncated)
 
 

@@ -8,7 +8,7 @@ from resistive_walk import pipeline
 from resistive_walk.config import parse_config, with_overrides
 from resistive_walk.errors import ConfigError
 from resistive_walk.generate import mix_seed
-from resistive_walk.graph import read_edge_list
+from resistive_walk.graph import dumps_edge_list, read_edge_list
 from resistive_walk.pipeline import (
     WORKERS_ENV,
     build_graph,
@@ -75,13 +75,11 @@ def test_member_computes_the_weighted_degree_once(mini_config, monkeypatch):
     monkeypatch.setattr(csr_matrix, "sum", spy_sum)
     member_observables(mini_config, 0)
     (g,) = graphs
-    # complement and exit solves, exit-time reads, pointwise factor, kernel
+    # complement and exit solves, exit-time reads, pointwise factor, kernel, walk
     assert sum(m is g.adjacency() for m in row_sums) == 1
-    degree = g.weighted_degree()
-    assert degree is g.weighted_degree()
-    assert degree.tobytes() == np.asarray(real_sum(g.adjacency(), axis=1)).ravel().tobytes()
+    assert g.measure.tobytes() == np.asarray(real_sum(g.adjacency(), axis=1)).ravel().tobytes()
     with pytest.raises(ValueError, match="read-only"):
-        degree[0] = 1.0
+        g.measure[0] = 1.0
 
 
 def test_member_volumes_match_graph(mini_config):
@@ -188,3 +186,22 @@ def test_store_graphs_round_trip(mini_config, tmp_path):
     stored = read_edge_list(record.path / "graphs" / "graph_0000.edges")
     direct = build_graph(config, 0)
     assert list(stored.bonds()) == list(direct.bonds())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_store_graphs_generates_each_member_once(mini_config, tmp_path, monkeypatch, workers):
+    config = with_overrides(mini_config, store_graphs=True, ensemble=3)
+    built = []
+    real_build = pipeline.build_graph
+
+    def build(config, index):
+        built.append(index)
+        return real_build(config, index)
+
+    monkeypatch.setattr(pipeline, "build_graph", build)
+    record = run(config, tmp_path / "stored", workers=workers)
+    if workers == 1:  # a pool's workers count in their own processes
+        assert built == [0, 1, 2]
+    for i in range(config.ensemble):
+        stored = (record.path / "graphs" / f"graph_{i:04d}.edges").read_bytes()
+        assert stored == dumps_edge_list(real_build(config, i)).encode()

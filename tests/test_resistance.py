@@ -120,6 +120,22 @@ def test_origin_cache_matches_pair_resistances(lrp128):
     assert cache.pair_resistance([0]) == pytest.approx([0.0])
 
 
+def test_pair_resistance_with_repeats_and_the_ground_matches_single_calls(lrp128):
+    labels = [5, 0, -3, 5, 0, 20, -3]
+    got = OriginResistanceCache(lrp128).pair_resistance(labels)
+    single = [OriginResistanceCache(lrp128).pair_resistance([y])[0] for y in labels]
+    assert got.tobytes() == np.asarray(single).tobytes()
+    assert got[1] == got[4] == 0.0
+
+
+def test_pointwise_ratios_of_no_radii_factor_nothing(monkeypatch, lrp128):
+    def no_factor(a):
+        raise AssertionError("factored for no radii")
+
+    monkeypatch.setattr(resistance, "splu", no_factor)
+    assert max_pointwise_ratios(lrp128, []) == []
+
+
 @pytest.mark.parametrize("half_width, tail, seed", [(24, 2.2, 1), (48, 3.0, 2), (99, 3.5, 3)])
 def test_pointwise_ratios_match_dense_oracle(half_width, tail, seed):
     g = generate_long_range(LongRangeParams(half_width, 1.0, tail, seed=seed))

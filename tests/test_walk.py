@@ -73,8 +73,7 @@ def test_light_cone_kernel_matches_dense_oracle(half_width, tail_exponent, seed)
 
 
 def test_kernel_raises_when_mass_drifts(monkeypatch, lrp128):
-    real = Graph.weighted_degree
-    monkeypatch.setattr(Graph, "weighted_degree", lambda g: 1.01 * real(g))
+    monkeypatch.setattr(lrp128, "measure", 1.01 * lrp128.measure)
     with pytest.raises(SolverError, match="mass drifted"):
         heat_kernel_exact(lrp128, 0, 8)
 
@@ -163,9 +162,10 @@ def test_simulation_is_chunk_invariant(line64):
 
 def _visited_loop_reference(g, origin, n_steps, n_traj, seed, radii, grid, metric):
     """Trajectory-by-trajectory walk with a visited array over all vertices."""
-    indptr, indices, weights = g.csr()
-    edge_cum = np.concatenate([[0.0], np.cumsum(weights)])
-    mu = edge_cum[indptr[1:]] - edge_cum[indptr[:-1]]
+    adj = g.adjacency()
+    indptr, indices = adj.indptr, adj.indices
+    edge_cum = np.concatenate([[0.0], np.cumsum(adj.data)])
+    mu = g.measure
     dist = g.distances_from(origin, metric)
     out = {k: [] for k in ("range_weight", "range_size", "endpoint", "displacement",
                            "max_displacement", "exit_time", "censored")}
@@ -212,6 +212,11 @@ def test_simulation_matches_visited_array_reference(chunk_size):
     c = 1.0 + 2.0 * np.random.default_rng(4).random(w.n_bonds)
     g = Graph.from_arrays(w.labels[w.bond_u], w.labels[w.bond_v], c, marked=0,
                           truncated=True)
+    # a second measure, the row widths of the global conductance cumsum,
+    # differs from g.measure here, so a walk that used it would fail below
+    adj = g.adjacency()
+    edge_cum = np.concatenate([[0.0], np.cumsum(adj.data)])
+    assert np.any(edge_cum[adj.indptr[1:]] - edge_cum[adj.indptr[:-1]] != g.measure)
     grid = np.asarray([1, 5, 5, 17, 40, 64])
     radii = (2, 9, 30)
     n_traj = 23
