@@ -171,6 +171,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("theta_star must be at least 1")
     if set(config.mc_exit_radii) - set(config.radius_grid):
         raise ConfigError("mc_exit_radii must be a subset of radius_grid")
+    if config.mc_exit_radii and not config.time_grid:
+        raise ConfigError("mc_exit_radii need a time_grid: the walk runs to its last step")
     half_width = effective_half_width(config)
     if half_width:
         probe = max(config.radius_grid + config.goodscale_radii, default=0)

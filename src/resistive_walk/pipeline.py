@@ -41,7 +41,6 @@ from .resistance import (
     max_pointwise_ratios,
 )
 from .scaling import (
-    GoodScaleReport,
     GrowthFunction,
     ScaleObservables,
     bootstrap_mean_ci,
@@ -84,8 +83,23 @@ def growth_functions(config: ExperimentConfig) -> tuple[GrowthFunction, GrowthFu
     )
 
 
+def ball_radii(config: ExperimentConfig) -> list[int]:
+    """Radii whose ball volume and complement resistance a member measures, ascending."""
+    return sorted(set(config.radius_grid) | set(config.goodscale_radii))
+
+
 def member_observables(config: ExperimentConfig, index: int) -> dict:
-    """All per-graph observables for one ensemble member, and its graph as text if stored."""
+    """All per-graph observables for one ensemble member, and its graph as text if stored.
+
+    Each observable is one array or list, indexed like its config grid:
+    `volumes`, `complement` by `ball_radii`; `pointwise` ((ratio, witness)
+    pairs) by `goodscale_radii`; `goodscale` (volume, resistance and
+    pointwise clause flags) by `goodscale_radii` x `tolerance_grid`;
+    `exit_exact` by `radius_grid`; `kernel` (p2n, f_n, boundary mass) and
+    `walk` (the `walk.csv` columns) by `time_grid`; `disp_matrix` by
+    trajectory x `time_grid`; `mc_exit` ((mean or None, censored count)
+    pairs) by `mc_exit_radii`.
+    """
     g = build_graph(config, index)
     origin = g.marked
     metric = config.metric
@@ -93,51 +107,46 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
     volume_growth, resistance_growth = growth_functions(config)
 
     # a loop of its own, not scale_observables: perfbench wraps the solver names here
-    radii_all = sorted(set(config.radius_grid) | set(config.goodscale_radii))
-    volumes = {R: g.volume(origin, R, metric) for R in radii_all}
-    complement = {}
-    for R in radii_all:
-        outside = g.labels[dist >= R]
-        complement[R] = effective_resistance(g, [origin], outside)
+    radii = ball_radii(config)
+    volumes = np.array([g.volume(origin, R, metric) for R in radii])
+    complement = np.array(
+        [effective_resistance(g, [origin], g.labels[dist >= R]) for R in radii]
+    )
 
-    pointwise: dict[int, tuple[float, int | None]] = {}
-    goodscale: dict[int, list[GoodScaleReport]] = {}
+    pointwise: list[tuple[float, int | None]] = []
     if config.goodscale_radii:
-        ratios = max_pointwise_ratios(
+        pointwise = max_pointwise_ratios(
             g, config.goodscale_radii, metric, resistance_growth, OriginResistanceCache(g)
         )
-        pointwise = dict(zip(config.goodscale_radii, ratios))
-        for R, (ratio, witness) in pointwise.items():
-            obs = ScaleObservables(R, volumes[R], complement[R], ratio, witness)
-            goodscale[R] = [
-                evaluate_good_scale(obs, lam, volume_growth, resistance_growth)
-                for lam in config.tolerance_grid
-            ]
+    flags = []
+    at = np.searchsorted(radii, config.goodscale_radii)
+    for R, k, pair in zip(config.goodscale_radii, at, pointwise):
+        obs = ScaleObservables(R, volumes[k], complement[k], *pair)
+        for lam in config.tolerance_grid:
+            rep = evaluate_good_scale(obs, lam, volume_growth, resistance_growth)
+            flags.append((rep.volume_ok, rep.resistance_ok, rep.pointwise_ok))
+    goodscale = np.array(flags, dtype=bool).reshape(
+        len(config.goodscale_radii), len(config.tolerance_grid), 3
+    )
 
-    exit_exact = {
-        R: mean_exit_time_exact(g, origin, R, metric) for R in config.radius_grid
-    }
+    exit_exact = np.array(
+        [mean_exit_time_exact(g, origin, R, metric) for R in config.radius_grid]
+    )
 
-    kernel_rows: list[tuple[int, float, float, float]] = []
+    kernel = np.zeros((0, 3))
+    walk = np.zeros((0, 4))
+    disp_matrix = np.zeros((config.n_trajectories, 0), dtype=np.int32)
+    mc_exit: list[tuple[float | None, int]] = []
     contaminated_from = None
     if config.time_grid:
-        horizon = max(config.time_grid) + 1
-        table = heat_kernel_exact(g, origin, horizon)
-        for t in config.time_grid:
-            kernel_rows.append(
-                (
-                    t // 2,
-                    float(table.origin_series[t]),
-                    table.smoothed(t),
-                    float(table.boundary_contact[t]),
-                )
-            )
+        table = heat_kernel_exact(g, origin, max(config.time_grid) + 1)
+        kernel = np.array(
+            [
+                (table.origin_series[t], table.smoothed(t), table.boundary_contact[t])
+                for t in config.time_grid
+            ]
+        )
         contaminated_from = table.contaminated_from
-
-    walk_rows: list[tuple[int, float, float, float, float]] = []
-    disp_matrix = np.zeros((config.n_trajectories, 0), dtype=np.int32)
-    mc_exit: dict[int, tuple[float | None, int]] = {}
-    if config.time_grid:
         stats = simulate(
             g,
             origin,
@@ -148,21 +157,22 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
             time_grid=config.time_grid,
             metric=metric,
         )
-        for j, t in enumerate(config.time_grid):
-            walk_rows.append(
+        walk = np.array(
+            [
                 (
-                    t,
-                    float(stats.displacement[:, j].mean()),
-                    float(stats.range_weight[:, j].mean()),
-                    float(stats.range_size[:, j].mean()),
-                    float((stats.endpoint[:, j] == origin).mean()),
+                    stats.displacement[:, j].mean(),
+                    stats.range_weight[:, j].mean(),
+                    stats.range_size[:, j].mean(),
+                    stats.return_frequency(j),
                 )
-            )
+                for j in range(len(config.time_grid))
+            ]
+        )
         disp_matrix = stats.displacement.astype(np.int32)
-        for j, R in enumerate(stats.radii):
+        for j in range(len(config.mc_exit_radii)):
             live = ~stats.censored[:, j]
             mean = float(stats.exit_time[live, j].mean()) if live.any() else None
-            mc_exit[int(R)] = (mean, int(stats.censored[:, j].sum()))
+            mc_exit.append((mean, int(stats.censored[:, j].sum())))
 
     return {
         "index": index,
@@ -171,9 +181,9 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
         "pointwise": pointwise,
         "goodscale": goodscale,
         "exit_exact": exit_exact,
-        "kernel": kernel_rows,
+        "kernel": kernel,
         "contaminated_from": contaminated_from,
-        "walk": walk_rows,
+        "walk": walk,
         "disp_matrix": disp_matrix,
         "mc_exit": mc_exit,
         "edge_list": dumps_edge_list(g) if config.store_graphs else None,
@@ -200,6 +210,41 @@ def _write_csv(path: Path, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _displacement_rows(config: ExperimentConfig, member: dict):
+    for trajectory, row in enumerate(member["disp_matrix"]):
+        for t, distance in zip(config.time_grid, row):
+            yield trajectory, t, distance
+
+
+def _goodscale_rows(config: ExperimentConfig, member: dict):
+    for R, by_tolerance in zip(config.goodscale_radii, member["goodscale"]):
+        for lam, clauses in zip(config.tolerance_grid, by_tolerance):
+            yield R, lam, clauses.all(), *clauses
+
+
+# (file, header, rows of one member): each row gets the member's graph index in front
+OBSERVABLE_FILES = (
+    ("volumes.csv", "graph,R,volume",
+     lambda c, m: zip(ball_radii(c), m["volumes"])),
+    ("resistance.csv", "graph,R,complement_resistance",
+     lambda c, m: zip(ball_radii(c), m["complement"])),
+    ("pointwise.csv", "graph,R,max_ratio,witness",
+     lambda c, m: ((R, *pair) for R, pair in zip(c.goodscale_radii, m["pointwise"]))),
+    ("exit_exact.csv", "graph,R,mean_exit",
+     lambda c, m: zip(c.radius_grid, m["exit_exact"])),
+    ("kernel.csv", "graph,n,p2n,f_n,boundary_mass",
+     lambda c, m: zip([t // 2 for t in c.time_grid], *m["kernel"].T)),
+    ("walk.csv",
+     "graph,n,mean_displacement,mean_range_weight,mean_range_size,return_frequency",
+     lambda c, m: zip(c.time_grid, *m["walk"].T)),
+    ("walk_exit.csv", "graph,R,mc_mean_exit,censored,trajectories",
+     lambda c, m: ((R, *e, c.n_trajectories) for R, e in zip(c.mc_exit_radii, m["mc_exit"]))),
+    ("displacements.csv", "graph,trajectory,n,distance", _displacement_rows),
+    ("goodscale.csv", "graph,R,lambda,member,volume_ok,resistance_ok,pointwise_ok",
+     _goodscale_rows),
+)
 
 
 def _as_builtin(obj):
@@ -245,6 +290,9 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
         "ensemble": n_graphs,
     }
 
+    def stacked(key: str) -> np.ndarray:
+        return np.stack([res[key] for res in results])
+
     radii = list(config.radius_grid)
     times = list(config.time_grid)
     m_grid = [t // 2 for t in times]
@@ -255,6 +303,7 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
     scale_t = np.asarray(
         [displacement_scale(volume_growth, resistance_growth, t) for t in times]
     )
+    v_of_scale = np.asarray([volume_growth(s) for s in scale_m])
 
     series: dict = {
         "radius_grid": radii,
@@ -273,43 +322,27 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
         )
         return {"mean": mean, "ci_lo": lo, "ci_hi": hi}
 
-    exit_ratio_matrix = np.zeros((n_graphs, 0))
-    kernel_ratio_matrix = np.zeros((n_graphs, 0))
+    exit_samples = stacked("exit_exact")
+    kernel = stacked("kernel")
+    walk = stacked("walk")
+    exit_ratio_matrix = exit_samples / prediction_R
+    kernel_ratio_matrix = kernel[:, :, 0] * v_of_scale
 
     if radii:
-        exit_samples = np.asarray(
-            [[res["exit_exact"][R] for R in radii] for res in results]
-        )
-        rv_samples = np.asarray(
-            [
-                [res["complement"][R] * res["volumes"][R] for R in radii]
-                for res in results
-            ]
-        )
+        at = np.searchsorted(ball_radii(config), radii)
+        rv_samples = stacked("complement")[:, at] * stacked("volumes")[:, at]
         series["exit"] = ci(exit_samples)
         series["resistance_volume"] = ci(rv_samples)
         series["exit_ratio"] = series["exit"]["mean"] / prediction_R
         series["resistance_volume_ratio"] = series["resistance_volume"]["mean"] / prediction_R
-        exit_ratio_matrix = exit_samples / prediction_R
         summary["fits_exit"] = _fit_or_error(fit_loglog, radii, series["exit"]["mean"])
 
     if times:
-        p2m_samples = np.asarray(
-            [[row[1] for row in res["kernel"]] for res in results]
-        )
-        disp_mean_samples = np.asarray(
-            [[row[1] for row in res["walk"]] for res in results]
-        )
-        range_samples = np.asarray(
-            [[row[2] for row in res["walk"]] for res in results]
-        )
-        series["kernel"] = ci(p2m_samples)
-        series["displacement"] = ci(disp_mean_samples)
-        series["range_weight"] = ci(range_samples)
-        v_of_scale = np.asarray([volume_growth(s) for s in scale_m])
+        series["kernel"] = ci(kernel[:, :, 0])
+        series["displacement"] = ci(walk[:, :, 0])
+        series["range_weight"] = ci(walk[:, :, 1])
         series["kernel_ratio"] = series["kernel"]["mean"] * v_of_scale
         series["displacement_ratio"] = series["displacement"]["mean"] / scale_t
-        kernel_ratio_matrix = p2m_samples * v_of_scale
         summary["fits_spectral"] = _fit_or_error(
             fit_spectral_dimension, m_grid, series["kernel"]["mean"]
         )
@@ -323,21 +356,17 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
     summary["series"] = series
 
     if config.goodscale_radii:
-        fractions: dict[int, list[float]] = {}
-        decay: dict[int, dict] = {}
-        for R in config.goodscale_radii:
-            members = [
-                sum(not res["goodscale"][R][j].member for res in results) / n_graphs
-                for j in range(len(config.tolerance_grid))
-            ]
-            fractions[R] = members
-            fit = failure_decay_fit(config.tolerance_grid, members, n_graphs)
-            decay[R] = {"rate": fit.rate, "floored": fit.floored}
+        failures = ~stacked("goodscale").all(axis=3)
+        fractions = (failures.sum(axis=0) / n_graphs).tolist()
+        fits = [failure_decay_fit(config.tolerance_grid, f, n_graphs) for f in fractions]
         summary["goodscale"] = {
             "radii": list(config.goodscale_radii),
             "tolerances": list(config.tolerance_grid),
-            "failure_fractions": fractions,
-            "decay": decay,
+            "failure_fractions": dict(zip(config.goodscale_radii, fractions)),
+            "decay": {
+                R: {"rate": fit.rate, "floored": fit.floored}
+                for R, fit in zip(config.goodscale_radii, fits)
+            },
         }
 
     if times and config.theta_grid:
@@ -355,26 +384,21 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
             "theta_star": config.theta_star,
         }
 
-    contacts = [row[3] for res in results for row in res["kernel"]]
     summary["boundary"] = {
-        "max_contact": max(contacts) if contacts else 0.0,
-        "contaminated_graphs": sum(
-            1 for res in results if res["contaminated_from"] is not None
-        ),
+        "max_contact": kernel[:, :, 2].max() if kernel.size else 0.0,
+        "contaminated_graphs": sum(res["contaminated_from"] is not None for res in results),
     }
     if config.mc_exit_radii:
         table = []
-        for R in config.mc_exit_radii:
-            means = [res["mc_exit"][R][0] for res in results]
+        for j, R in enumerate(config.mc_exit_radii):
+            means, censored = zip(*(res["mc_exit"][j] for res in results))
             live = [m for m in means if m is not None]
             table.append(
                 {
                     "radius": R,
                     "mc_mean": sum(live) / len(live) if live else None,
-                    "censored": sum(res["mc_exit"][R][1] for res in results),
-                    "exact_mean": float(
-                        np.mean([res["exit_exact"][R] for res in results])
-                    ),
+                    "censored": sum(censored),
+                    "exact_mean": float(np.mean(exit_samples[:, radii.index(R)])),
                 }
             )
         summary["mc_exit"] = table
@@ -409,83 +433,13 @@ def run(
 
     obs_dir = target / "observables"
     obs_dir.mkdir(parents=True, exist_ok=True)
-
-    radii_all = sorted(set(config.radius_grid) | set(config.goodscale_radii))
-    _write_csv(
-        obs_dir / "volumes.csv",
-        "graph,R,volume",
-        ((res["index"], R, res["volumes"][R]) for res in results for R in radii_all),
-    )
-    _write_csv(
-        obs_dir / "resistance.csv",
-        "graph,R,complement_resistance",
-        ((res["index"], R, res["complement"][R]) for res in results for R in radii_all),
-    )
-    _write_csv(
-        obs_dir / "pointwise.csv",
-        "graph,R,max_ratio,witness",
-        (
-            (res["index"], R, res["pointwise"][R][0], res["pointwise"][R][1])
-            for res in results
-            for R in config.goodscale_radii
-        ),
-    )
-    _write_csv(
-        obs_dir / "exit_exact.csv",
-        "graph,R,mean_exit",
-        (
-            (res["index"], R, res["exit_exact"][R])
-            for res in results
-            for R in config.radius_grid
-        ),
-    )
-    _write_csv(
-        obs_dir / "kernel.csv",
-        "graph,n,p2n,f_n,boundary_mass",
-        ((res["index"], *row) for res in results for row in res["kernel"]),
-    )
-    _write_csv(
-        obs_dir / "walk.csv",
-        "graph,n,mean_displacement,mean_range_weight,mean_range_size,return_frequency",
-        ((res["index"], *row) for res in results for row in res["walk"]),
-    )
-    _write_csv(
-        obs_dir / "walk_exit.csv",
-        "graph,R,mc_mean_exit,censored,trajectories",
-        (
-            (res["index"], R, res["mc_exit"][R][0], res["mc_exit"][R][1],
-             config.n_trajectories)
-            for res in results
-            for R in config.mc_exit_radii
-        ),
-    )
-    _write_csv(
-        obs_dir / "displacements.csv",
-        "graph,trajectory,n,distance",
-        (
-            (res["index"], tr, t, int(res["disp_matrix"][tr, j]))
-            for res in results
-            for tr in range(res["disp_matrix"].shape[0])
-            for j, t in enumerate(config.time_grid)
-        ),
-    )
-
-    summary = build_summary(config, results)
-    if config.goodscale_radii:
-        rows = [
-            (
-                res["index"], R, lam, rep.member,
-                rep.volume_ok, rep.resistance_ok, rep.pointwise_ok,
-            )
-            for res in results
-            for R in config.goodscale_radii
-            for lam, rep in zip(config.tolerance_grid, res["goodscale"][R])
-        ]
+    for name, header, member_rows in OBSERVABLE_FILES:
         _write_csv(
-            obs_dir / "goodscale.csv",
-            "graph,R,lambda,member,volume_ok,resistance_ok,pointwise_ok",
-            rows,
+            obs_dir / name,
+            header,
+            ((res["index"], *row) for res in results for row in member_rows(config, res)),
         )
+    summary = build_summary(config, results)
 
     if config.store_graphs:
         graph_dir = target / "graphs"
@@ -500,7 +454,7 @@ def run(
         fh.write("\n")
     wallclock = time.time() - started
     record = {
-        "config_hash": config_hash(config),
+        "config_hash": summary["config_hash"],
         "version": __version__,
         "workers": workers,
         "wallclock_seconds": wallclock,
@@ -512,7 +466,7 @@ def run(
     return RunRecord(
         path=target,
         config=config,
-        hash=config_hash(config),
+        hash=summary["config_hash"],
         summary=summary,
         workers=workers,
         wallclock_seconds=wallclock,

@@ -9,6 +9,13 @@ from pathlib import Path
 from .errors import InvalidArgumentError
 
 
+# top-level summary fields that `report` reads, with their JSON types
+SUMMARY_FIELDS = {
+    "name": str, "ensemble": int, "config_hash": str, "series": dict,
+    "goodscale": dict, "tightness": dict, "boundary": dict, "mc_exit": list,
+}
+
+
 def _write_dat(path: Path, header: str, columns) -> None:
     rows = list(zip(*columns))
     with open(path, "w", newline="\n") as fh:
@@ -49,6 +56,9 @@ def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) 
         raise InvalidArgumentError(f"cannot read {summary_path}: {exc}") from exc
     if not (isinstance(summary, dict) and {"name", "ensemble", "config_hash"} <= summary.keys()):
         raise InvalidArgumentError(f"{summary_path} lacks name, ensemble or config_hash")
+    wrong = [k for k, t in SUMMARY_FIELDS.items() if k in summary and not isinstance(summary[k], t)]
+    if wrong:
+        raise InvalidArgumentError(f"{summary_path}: wrong type for {', '.join(wrong)}")
     target = Path(outdir) if outdir is not None else run_dir / "report"
     target.mkdir(parents=True, exist_ok=True)
 

@@ -119,9 +119,13 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
     "argv, files",
     [(["report", "."], {"summary.json": b"{not json"}),
      (["report", "."], {"summary.json": b"{}\n"}),
+     (["report", "."], {"summary.json": b'{"name": "x", "ensemble": 1, "config_hash": 5}\n'}),
+     (["report", "."], {"summary.json":
+                        b'{"name": "x", "ensemble": 1, "config_hash": "abc", "series": []}\n'}),
      (["run", "."], {}),
      (["run", "bad.cfg"], {"bad.cfg": b"name = x\nmodel = lrp\n# \xff\n"})],
-    ids=["report-not-json", "report-empty-object", "run-directory", "run-config-not-utf8"],
+    ids=["report-not-json", "report-empty-object", "report-hash-not-string",
+         "report-series-not-object", "run-directory", "run-config-not-utf8"],
 )
 def test_unreadable_run_input_exits_2(tmp_path, capsys, argv, files):
     for name, content in files.items():

@@ -72,6 +72,7 @@ BASE = "name = x\nmodel = lrp\nhalf_width = 64\nbeta = 1.0\ntail_exponent = 3.5\
         ("tolerance_grid = 0.5,2\n", "tolerance_grid"),
         ("theta_star = 0.5\n", "theta_star"),
         ("radius_grid = 4,8\nmc_exit_radii = 4,16\n", "subset"),
+        ("radius_grid = 4,8\nmc_exit_radii = 4\n", "need a time_grid"),
         ("radius_grid = 4,32\n", "quarter"),
     ],
 )

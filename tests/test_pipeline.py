@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from resistive_walk.generate import mix_seed
 from resistive_walk.graph import dumps_edge_list, read_edge_list
 from resistive_walk.pipeline import (
     WORKERS_ENV,
+    ball_radii,
     build_graph,
     graph_seed,
     growth_functions,
@@ -54,8 +56,8 @@ def test_build_graph_is_deterministic(mini_config):
 def test_member_observables_are_reproducible(mini_config):
     a = member_observables(mini_config, 1)
     b = member_observables(mini_config, 1)
-    assert a["volumes"] == b["volumes"]
-    assert a["exit_exact"] == b["exit_exact"]
+    assert a["volumes"].tobytes() == b["volumes"].tobytes()
+    assert a["exit_exact"].tobytes() == b["exit_exact"].tobytes()
     assert np.array_equal(a["disp_matrix"], b["disp_matrix"])
 
 
@@ -85,7 +87,8 @@ def test_member_computes_the_weighted_degree_once(mini_config, monkeypatch):
 def test_member_volumes_match_graph(mini_config):
     res = member_observables(mini_config, 0)
     g = build_graph(mini_config, 0)
-    for radius, volume in res["volumes"].items():
+    assert len(res["volumes"]) == len(ball_radii(mini_config))
+    for radius, volume in zip(ball_radii(mini_config), res["volumes"]):
         assert volume == pytest.approx(g.volume(0, radius, metric="line"))
 
 
@@ -93,7 +96,8 @@ def test_member_complement_matches_direct_solve(mini_config):
     res = member_observables(mini_config, 0)
     g = build_graph(mini_config, 0)
     dist = g.distances_from(0, metric="line")
-    for radius, reff in res["complement"].items():
+    assert len(res["complement"]) == len(ball_radii(mini_config))
+    for radius, reff in zip(ball_radii(mini_config), res["complement"]):
         outside = g.labels[dist >= radius].tolist()
         assert reff == pytest.approx(
             effective_resistance(g, [0], outside), rel=1e-9
@@ -109,15 +113,21 @@ def test_scale_observables_match_member_observables(mini_config):
         g, mini_config.goodscale_radii, mini_config.metric, resistance_growth
     )
     assert [row.radius for row in rows] == list(mini_config.goodscale_radii)
-    for row in rows:
-        R = row.radius
-        assert repr((row.volume, row.complement_resistance,
+    assert len(res["pointwise"]) == len(rows)
+    assert res["goodscale"].shape == (len(rows), len(mini_config.tolerance_grid), 3)
+    for i, row in enumerate(rows):
+        k = ball_radii(mini_config).index(row.radius)
+        # float() keeps every bit; it only drops the numpy scalar type from repr
+        assert repr((float(row.volume), float(row.complement_resistance),
                      row.max_pointwise_ratio, row.witness)) == repr(
-            (res["volumes"][R], res["complement"][R], *res["pointwise"][R])
+            (float(res["volumes"][k]), float(res["complement"][k]), *res["pointwise"][i])
         )
-        assert res["goodscale"][R] == [
+        reports = [
             evaluate_good_scale(row, lam, volume_growth, resistance_growth)
             for lam in mini_config.tolerance_grid
+        ]
+        assert res["goodscale"][i].tolist() == [
+            [rep.volume_ok, rep.resistance_ok, rep.pointwise_ok] for rep in reports
         ]
 
 
@@ -130,6 +140,19 @@ def test_run_writes_expected_files(mini_run):
         "kernel.csv", "walk.csv", "walk_exit.csv", "displacements.csv",
         "goodscale.csv",
     }
+
+
+def test_run_without_goodscale_radii_writes_header_only_files(mini_config, tmp_path):
+    config = with_overrides(mini_config, goodscale_radii=(), ensemble=2)
+    record = run(config, tmp_path / "no-goodscale")
+    observables = record.path / "observables"
+    assert (observables / "pointwise.csv").read_text() == "graph,R,max_ratio,witness\n"
+    assert (observables / "goodscale.csv").read_text() == (
+        "graph,R,lambda,member,volume_ok,resistance_ok,pointwise_ok\n"
+    )
+    assert "goodscale" not in record.summary
+    lines = (observables / "volumes.csv").read_text().splitlines()
+    assert len(lines) == 1 + config.ensemble * len(config.radius_grid)
 
 
 def test_csv_row_counts(mini_run, mini_config):
@@ -205,3 +228,9 @@ def test_store_graphs_generates_each_member_once(mini_config, tmp_path, monkeypa
     for i in range(config.ensemble):
         stored = (record.path / "graphs" / f"graph_{i:04d}.edges").read_bytes()
         assert stored == dumps_edge_list(real_build(config, i)).encode()
+
+
+def test_readme_lists_every_observables_file():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name, header, _ in pipeline.OBSERVABLE_FILES:
+        assert f"| `{name}` | `{header}` |" in readme
