@@ -8,6 +8,7 @@ round-trips exactly and the serialization doubles as the hash preimage.
 from __future__ import annotations
 
 import hashlib
+import math
 import typing
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -127,6 +128,11 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        if hint in (float, tuple[float, ...]):
+            value = getattr(config, name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{name} must be finite")
     if config.model not in MODELS:
         raise ConfigError(f"model must be one of {MODELS}, got {config.model!r}")
     if config.metric not in METRICS:

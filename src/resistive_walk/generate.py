@@ -84,7 +84,7 @@ class LongRangeParams:
     def validate(self) -> None:
         if self.half_width < 2:
             raise InvalidArgumentError("half_width must be at least 2")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise InvalidArgumentError("beta must be nonnegative")
         if not self.tail_exponent > 2:
             raise InvalidArgumentError("tail exponent must exceed 2")

@@ -1,4 +1,8 @@
-"""Turn a finished run directory into plot-ready tables and a text digest."""
+"""Turn a finished run directory into plot-ready tables and a text digest.
+
+`report` builds the text of every file from summary.json before it creates
+the output directory, so a malformed summary leaves nothing behind.
+"""
 
 from __future__ import annotations
 
@@ -15,13 +19,26 @@ SUMMARY_FIELDS = {
     "goodscale": dict, "tightness": dict, "boundary": dict, "mc_exit": list,
 }
 
+# (file, header, abscissa grid key, series key, ratio key or None, digest
+# fit line or None): one row per file, written when its grid is non-empty,
+# from summary["series"]; the fit lines follow the rows' order
+SERIES_FILES = (
+    ("exit.dat", "R mean_exit ci_lo ci_hi ratio", "radius_grid", "exit", "exit_ratio",
+     ("exit-time exponent", "fits_exit")),
+    ("resistance_volume.dat", "R mean ci_lo ci_hi ratio",
+     "radius_grid", "resistance_volume", "resistance_volume_ratio", None),
+    ("kernel.dat", "n p2n ci_lo ci_hi ratio", "m_grid", "kernel", "kernel_ratio",
+     ("spectral dimension", "fits_spectral")),
+    ("range.dat", "n mean ci_lo ci_hi", "time_grid", "range_weight", None,
+     ("range exponent", "fits_range")),
+    ("displacement.dat", "n mean ci_lo ci_hi ratio", "time_grid", "displacement",
+     "displacement_ratio", ("displacement exponent", "fits_displacement")),
+)
 
-def _write_dat(path: Path, header: str, columns) -> None:
-    rows = list(zip(*columns))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# {header}\n")
-        for row in rows:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+def _dat(header: str, columns) -> str:
+    rows = "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
+    return f"# {header}\n{rows}"
 
 
 def _fit_line(label: str, fit: dict | None) -> str:
@@ -37,79 +54,28 @@ def _fit_line(label: str, fit: dict | None) -> str:
     )
 
 
-def _spread(values) -> float | None:
-    live = [v for v in values if v > 0]
-    if not live:
-        return None
-    return max(live) / min(live)
-
-
-def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) -> Path:
-    """Write .dat tables and summary.txt for the run stored at `run_dir`."""
-    run_dir = Path(run_dir)
-    summary_path = run_dir / "summary.json"
-    if not summary_path.exists():
-        raise InvalidArgumentError(f"no summary.json under {run_dir}")
-    try:
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidArgumentError(f"cannot read {summary_path}: {exc}") from exc
-    if not (isinstance(summary, dict) and {"name", "ensemble", "config_hash"} <= summary.keys()):
-        raise InvalidArgumentError(f"{summary_path} lacks name, ensemble or config_hash")
-    wrong = [k for k, t in SUMMARY_FIELDS.items() if k in summary and not isinstance(summary[k], t)]
-    if wrong:
-        raise InvalidArgumentError(f"{summary_path}: wrong type for {', '.join(wrong)}")
-    target = Path(outdir) if outdir is not None else run_dir / "report"
-    target.mkdir(parents=True, exist_ok=True)
-
+def _report_files(summary: dict) -> dict[str, str]:
+    """The text of every report file, by file name, summary.txt last."""
+    files: dict[str, str] = {}
     series = summary.get("series", {})
-    radii = series.get("radius_grid", [])
-    times = series.get("time_grid", [])
     text = [f"run {summary['name']} ({summary['ensemble']} graphs, "
             f"hash {summary['config_hash'][:12]})\n"]
 
-    if radii and "exit" in series:
-        _write_dat(
-            target / "exit.dat",
-            "R mean_exit ci_lo ci_hi ratio",
-            (radii, series["exit"]["mean"], series["exit"]["ci_lo"],
-             series["exit"]["ci_hi"], series["exit_ratio"]),
-        )
-        _write_dat(
-            target / "resistance_volume.dat",
-            "R mean ci_lo ci_hi ratio",
-            (radii, series["resistance_volume"]["mean"],
-             series["resistance_volume"]["ci_lo"],
-             series["resistance_volume"]["ci_hi"],
-             series["resistance_volume_ratio"]),
-        )
-        text.append(_fit_line("exit-time exponent", summary.get("fits_exit")))
-        spread = _spread(series["exit_ratio"])
-        if spread is not None:
-            text.append(f"exit/prediction spread (all R): {spread:.3f}\n")
-
-    if times and "kernel" in series:
-        _write_dat(
-            target / "kernel.dat",
-            "n p2n ci_lo ci_hi ratio",
-            (series["m_grid"], series["kernel"]["mean"], series["kernel"]["ci_lo"],
-             series["kernel"]["ci_hi"], series["kernel_ratio"]),
-        )
-        _write_dat(
-            target / "displacement.dat",
-            "n mean ci_lo ci_hi ratio",
-            (times, series["displacement"]["mean"], series["displacement"]["ci_lo"],
-             series["displacement"]["ci_hi"], series["displacement_ratio"]),
-        )
-        _write_dat(
-            target / "range.dat",
-            "n mean ci_lo ci_hi",
-            (times, series["range_weight"]["mean"], series["range_weight"]["ci_lo"],
-             series["range_weight"]["ci_hi"]),
-        )
-        text.append(_fit_line("spectral dimension", summary.get("fits_spectral")))
-        text.append(_fit_line("range exponent", summary.get("fits_range")))
-        text.append(_fit_line("displacement exponent", summary.get("fits_displacement")))
+    for name, header, grid, key, ratio, fit in SERIES_FILES:
+        if not series.get(grid):
+            continue
+        stats = series[key]
+        columns = [series[grid], stats["mean"], stats["ci_lo"], stats["ci_hi"]]
+        if ratio:
+            columns.append(series[ratio])
+        files[name] = _dat(header, columns)
+        if fit:
+            label, fit_key = fit
+            text.append(_fit_line(label, summary.get(fit_key)))
+        if key == "exit":
+            live = [v for v in series["exit_ratio"] if v > 0]
+            if live:
+                text.append(f"exit/prediction spread (all R): {max(live) / min(live):.3f}\n")
 
     goodscale = summary.get("goodscale")
     if goodscale:
@@ -117,8 +83,7 @@ def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) 
         for key, fractions in sorted(
             goodscale["failure_fractions"].items(), key=lambda kv: int(kv[0])
         ):
-            _write_dat(target / f"goodscale_R{key}.dat", "lambda failure_fraction",
-                       (lams, fractions))
+            files[f"goodscale_R{key}.dat"] = _dat("lambda failure_fraction", (lams, fractions))
             decay = goodscale["decay"][key]
             floored = " (floored tail)" if decay["floored"] else ""
             text.append(
@@ -128,8 +93,7 @@ def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) 
 
     tightness = summary.get("tightness")
     if tightness:
-        _write_dat(
-            target / "tightness.dat",
+        files["tightness.dat"] = _dat(
             "theta exit kernel displacement_upper displacement_lower",
             (tightness["thetas"], tightness["exit"], tightness["kernel"],
              tightness["displacement_upper"], tightness["displacement_lower"]),
@@ -157,5 +121,39 @@ def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) 
             f"(exact {row['exact_mean']:.4f}, {row['censored']} censored)\n"
         )
 
-    (target / "summary.txt").write_text("".join(text))
+    files["summary.txt"] = "".join(text)
+    return files
+
+
+def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) -> Path:
+    """Write .dat tables and summary.txt for the run stored at `run_dir`.
+
+    A missing or malformed summary.json raises InvalidArgumentError first."""
+    run_dir = Path(run_dir)
+    summary_path = run_dir / "summary.json"
+    if not summary_path.exists():
+        raise InvalidArgumentError(f"no summary.json under {run_dir}")
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InvalidArgumentError(f"cannot read {summary_path}: {exc}") from exc
+    if not (isinstance(summary, dict) and {"name", "ensemble", "config_hash"} <= summary.keys()):
+        raise InvalidArgumentError(f"{summary_path} lacks name, ensemble or config_hash")
+    wrong = [k for k, t in SUMMARY_FIELDS.items() if k in summary and not isinstance(summary[k], t)]
+    if wrong:
+        raise InvalidArgumentError(f"{summary_path}: wrong type for {', '.join(wrong)}")
+    # JSON holds only dicts, lists, strings, numbers, booleans and null, so
+    # these are every way a field of the wrong shape can fail the read
+    try:
+        files = _report_files(summary)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
+        raise InvalidArgumentError(
+            f"{summary_path}: malformed field ({type(exc).__name__}: {exc})"
+        ) from exc
+
+    target = Path(outdir) if outdir is not None else run_dir / "report"
+    target.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (target / name).write_text(text, encoding="utf-8", newline="\n")
     return target

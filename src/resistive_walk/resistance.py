@@ -89,10 +89,15 @@ class Potential:
     residual: float
 
     def value(self, label: int) -> float:
-        i = int(np.searchsorted(self.labels, label))
-        if i >= self.labels.size or self.labels[i] != label:
-            raise InvalidArgumentError(f"vertex {label} is not in the graph")
-        return float(self.values[i])
+        return _value_at(self.labels, self.values, label, "the graph")
+
+
+def _value_at(labels: np.ndarray, values: np.ndarray, label: int, where: str) -> float:
+    """The entry of `values` at `label` of the sorted `labels`."""
+    i = int(np.searchsorted(labels, label))
+    if i >= labels.size or labels[i] != label:
+        raise InvalidArgumentError(f"vertex {label} is not in {where}")
+    return float(values[i])
 
 
 def _set_masks(g: Graph, A: Sequence[int], B: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -143,10 +148,7 @@ class GreenRow:
         return self.value(self.x)
 
     def value(self, label: int) -> float:
-        i = int(np.searchsorted(self.domain, label))
-        if i >= self.domain.size or self.domain[i] != label:
-            raise InvalidArgumentError(f"vertex {label} is not in the domain")
-        return float(self.values[i])
+        return _value_at(self.domain, self.values, label, "the domain")
 
 
 def green_row(g: Graph, domain: Sequence[int], x: int) -> GreenRow:

@@ -172,7 +172,6 @@ class WalkStatistics:
     range_weight: np.ndarray       # (n_traj, n_grid) measure of visited set
     range_size: np.ndarray         # (n_traj, n_grid) visited vertex count
     endpoint: np.ndarray           # (n_traj, n_grid) vertex labels
-    step_displacement: np.ndarray | None = None  # (n_traj, n_steps+1) when kept
 
     @property
     def n_trajectories(self) -> int:
@@ -200,7 +199,6 @@ def simulate(
     radii: Sequence[int] = (),
     time_grid: Sequence[int] | None = None,
     metric: str = "graph",
-    keep_steps: bool = False,
     chunk_size: int = 256,
 ) -> WalkStatistics:
     """Sample trajectories of the conductance walk.
@@ -254,9 +252,6 @@ def simulate(
     range_weight = np.empty((n_trajectories, n_grid))
     range_size = np.empty((n_trajectories, n_grid), dtype=np.int64)
     endpoint = np.empty((n_trajectories, n_grid), dtype=np.int64)
-    steps_kept = (
-        np.empty((n_trajectories, n_steps + 1), dtype=np.int64) if keep_steps else None
-    )
 
     for start in range(0, n_trajectories, chunk_size):
         stop = min(start + chunk_size, n_trajectories)
@@ -296,8 +291,6 @@ def simulate(
             first = np.argmax(hit, axis=1)
             exit_time[start:stop, j] = np.where(reached, first, n_steps)
             censored[start:stop, j] = ~reached
-        if keep_steps:
-            steps_kept[start:stop] = d_hist
 
     return WalkStatistics(
         origin=int(origin),
@@ -313,5 +306,4 @@ def simulate(
         range_weight=range_weight,
         range_size=range_size,
         endpoint=endpoint,
-        step_displacement=steps_kept,
     )

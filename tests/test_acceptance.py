@@ -323,20 +323,20 @@ def test_walk_laws():
         128,
         seed=31,
         radii=(4, 8, 16, 32),
-        time_grid=(512,),
+        time_grid=range(1, 513),
         metric="line",
-        keep_steps=True,
     )
-    running = np.maximum.accumulate(stats.step_displacement, axis=1)
+    # column k is step k + 1; step 0 sits at the origin, inside every ball
+    running = np.maximum.accumulate(stats.displacement, axis=1)
     for j, radius in enumerate(stats.radii):
         reached = running >= radius
         exited = ~stats.censored[:, j]
         np.testing.assert_array_equal(exited, reached.any(axis=1))
-        first = np.argmax(reached, axis=1)
+        first = np.argmax(reached, axis=1) + 1
         np.testing.assert_array_equal(first[exited], stats.exit_time[exited, j])
         for n in (1, 7, 64, 333, 512):
             np.testing.assert_array_equal(
-                reached[:, n], exited & (stats.exit_time[:, j] <= n)
+                reached[:, n - 1], exited & (stats.exit_time[:, j] <= n)
             )
 
     # P(X_n in B)^2 <= p_2n(0,0) V(B) on 100 sampled (n, B).

@@ -122,10 +122,18 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
      (["report", "."], {"summary.json": b'{"name": "x", "ensemble": 1, "config_hash": 5}\n'}),
      (["report", "."], {"summary.json":
                         b'{"name": "x", "ensemble": 1, "config_hash": "abc", "series": []}\n'}),
+     (["report", "."], {"summary.json":
+                        b'{"name": "x", "ensemble": 1, "config_hash": "abc", '
+                        b'"series": {"radius_grid": [1], "exit": {}}}\n'}),
+     (["report", "."], {"summary.json":
+                        b'{"name": "x", "ensemble": 1, "config_hash": "abc", "tightness": '
+                        b'{"thetas": [1], "exit": [1' + b"0" * 400 + b'], "kernel": [1], '
+                        b'"displacement_upper": [1], "displacement_lower": [1], "theta_star": 1}}\n'}),
      (["run", "."], {}),
      (["run", "bad.cfg"], {"bad.cfg": b"name = x\nmodel = lrp\n# \xff\n"})],
     ids=["report-not-json", "report-empty-object", "report-hash-not-string",
-         "report-series-not-object", "run-directory", "run-config-not-utf8"],
+         "report-series-not-object", "report-series-lacks-field", "report-value-overflows",
+         "run-directory", "run-config-not-utf8"],
 )
 def test_unreadable_run_input_exits_2(tmp_path, capsys, argv, files):
     for name, content in files.items():
@@ -133,6 +141,7 @@ def test_unreadable_run_input_exits_2(tmp_path, capsys, argv, files):
     command, target = argv
     assert main([command, str(tmp_path / target)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
 
 
 def test_unknown_config_exits_2(capsys):

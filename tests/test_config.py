@@ -59,7 +59,7 @@ def test_bad_bool():
         parse_config("name = x\nmodel = lrp\nhalf_width = 8\nstore_graphs = yes\n")
 
 
-BASE = "name = x\nmodel = lrp\nhalf_width = 64\nbeta = 1.0\ntail_exponent = 3.5\n"
+BASE = "name = x\nmodel = lrp\nhalf_width = 64\ntail_exponent = 3.5\n"
 
 
 @pytest.mark.parametrize(
@@ -71,6 +71,8 @@ BASE = "name = x\nmodel = lrp\nhalf_width = 64\nbeta = 1.0\ntail_exponent = 3.5\
         ("time_grid = 2,4,7\n", "even"),
         ("tolerance_grid = 0.5,2\n", "tolerance_grid"),
         ("theta_star = 0.5\n", "theta_star"),
+        ("beta = nan\n", "beta must be finite"),
+        ("theta_star = nan\n", "theta_star must be finite"),
         ("radius_grid = 4,8\nmc_exit_radii = 4,16\n", "subset"),
         ("radius_grid = 4,8\nmc_exit_radii = 4\n", "need a time_grid"),
         ("radius_grid = 4,32\n", "quarter"),

@@ -31,6 +31,7 @@ def test_mix_seed_differs_across_masters():
     [
         (LongRangeParams(1, 1.0, 3.5, 0), "half_width"),
         (LongRangeParams(16, -1.0, 3.5, 0), "beta"),
+        (LongRangeParams(16, float("nan"), 3.5, 0), "beta"),
         (LongRangeParams(16, 1.0, 2.0, 0), "tail exponent"),
         (LongRangeParams(16, 1.0, 3.5, -1), "seed"),
         (ExpTailParams(1, 1.0, 0), "half_width"),

@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from resistive_walk.config import parse_config
 from resistive_walk.errors import InvalidArgumentError
 from resistive_walk.pipeline import run
-from resistive_walk.report import report
+from resistive_walk.report import SERIES_FILES, report
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +44,9 @@ def test_digest_mentions_theta_star(run_dir):
 def test_report_needs_summary(tmp_path):
     with pytest.raises(InvalidArgumentError, match="summary.json"):
         report(tmp_path)
+
+
+def test_readme_lists_every_series_file():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name, header, *_ in SERIES_FILES:
+        assert f"| `{name}` | `{header}` |" in readme

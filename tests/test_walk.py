@@ -152,11 +152,11 @@ def test_simulation_is_seed_deterministic(line64):
 
 
 def test_simulation_is_chunk_invariant(line64):
-    kwargs = dict(radii=(2, 4), time_grid=(8, 16, 32), metric="line", keep_steps=True)
+    kwargs = dict(radii=(2, 4), time_grid=range(1, 33), metric="line")
     a = simulate(line64, 0, 32, 23, seed=5, chunk_size=256, **kwargs)
     b = simulate(line64, 0, 32, 23, seed=5, chunk_size=7, **kwargs)
     for field in ("exit_time", "censored", "displacement", "max_displacement",
-                  "range_weight", "range_size", "endpoint", "step_displacement"):
+                  "range_weight", "range_size", "endpoint"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
@@ -244,16 +244,13 @@ def test_exit_duality_per_trajectory(lrp128):
 
 
 def test_range_statistics_match_replay(line64):
-    stats = simulate(
-        line64, 0, 24, 6, seed=2, time_grid=(24,), metric="line", keep_steps=True
-    )
-    mu = dict(zip(line64.labels.tolist(), line64.measure.tolist()))
+    stats = simulate(line64, 0, 24, 6, seed=2, time_grid=(24,), metric="line")
+    dense = simulate(line64, 0, 24, 6, seed=2, time_grid=range(1, 25), metric="line")
     # the line walk's position is origin plus a +-1 step sum, so the distance
     # trace determines the visited set up to reflection
     for i in range(6):
-        trace = stats.step_displacement[i]
-        assert trace[0] == 0
-        assert np.all(np.abs(np.diff(trace)) == 1)
+        trace = dense.displacement[i]  # steps 1..24; step 0 is the origin
+        assert np.all(np.abs(np.diff(trace, prepend=0)) == 1)
         assert stats.displacement[i, 0] == trace[-1]
         assert stats.max_displacement[i, 0] == trace.max()
         lo, hi = -trace.max(), trace.max()
