@@ -37,8 +37,8 @@ SERIES_FILES = (
 
 
 def _dat(header: str, columns) -> str:
-    rows = "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
-    return f"# {header}\n{rows}"
+    rows = (" ".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns, strict=True))
+    return f"# {header}\n" + "".join(rows)
 
 
 def _fit_line(label: str, fit: dict | None) -> str:
@@ -135,7 +135,7 @@ def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) 
         raise InvalidArgumentError(f"no summary.json under {run_dir}")
     try:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidArgumentError(f"cannot read {summary_path}: {exc}") from exc
     if not (isinstance(summary, dict) and {"name", "ensemble", "config_hash"} <= summary.keys()):
         raise InvalidArgumentError(f"{summary_path} lacks name, ensemble or config_hash")

@@ -129,10 +129,17 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
                         b'{"name": "x", "ensemble": 1, "config_hash": "abc", "tightness": '
                         b'{"thetas": [1], "exit": [1' + b"0" * 400 + b'], "kernel": [1], '
                         b'"displacement_upper": [1], "displacement_lower": [1], "theta_star": 1}}\n'}),
+     (["report", "."], {"summary.json":
+                        b'{"name": "x", "ensemble": 1, "config_hash": "abc", "series": '
+                        b'{"radius_grid": [1, 2], "exit": {"mean": [1], "ci_lo": [1], "ci_hi": [1]}, '
+                        b'"exit_ratio": [1], "resistance_volume": {"mean": [1], "ci_lo": [1], '
+                        b'"ci_hi": [1]}, "resistance_volume_ratio": [1]}}\n'}),
+     (["report", "."], {"summary.json": b"[" * 100_000 + b"]" * 100_000}),
      (["run", "."], {}),
      (["run", "bad.cfg"], {"bad.cfg": b"name = x\nmodel = lrp\n# \xff\n"})],
     ids=["report-not-json", "report-empty-object", "report-hash-not-string",
          "report-series-not-object", "report-series-lacks-field", "report-value-overflows",
+         "report-columns-differ-in-length", "report-nested-too-deep",
          "run-directory", "run-config-not-utf8"],
 )
 def test_unreadable_run_input_exits_2(tmp_path, capsys, argv, files):

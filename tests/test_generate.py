@@ -31,12 +31,12 @@ def test_mix_seed_differs_across_masters():
     [
         (LongRangeParams(1, 1.0, 3.5, 0), "half_width"),
         (LongRangeParams(16, -1.0, 3.5, 0), "beta"),
-        (LongRangeParams(16, float("nan"), 3.5, 0), "beta"),
         (LongRangeParams(16, 1.0, 2.0, 0), "tail exponent"),
         (LongRangeParams(16, 1.0, 3.5, -1), "seed"),
         (ExpTailParams(1, 1.0, 0), "half_width"),
         (ExpTailParams(16, 0.0, 0), "rate"),
         (ExpTailParams(16, 1.0, 2**64), "seed"),
+        (LongRangeParams(16, float("nan"), 3.5, 0), "beta"),
     ],
 )
 def test_parameter_validation(params, message):
