@@ -423,6 +423,14 @@ def run(
             raise ConfigError(f"bad {WORKERS_ENV} value") from exc
     if workers < 1:
         raise ConfigError("worker count must be positive")
+    # refuse an output path under a file before any member runs
+    out_dirs = [target / "observables"]
+    if config.store_graphs:
+        out_dirs.append(target / "graphs")
+    for path in out_dirs:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output path {existing} is not a directory")
 
     indices = range(config.ensemble)
     if workers == 1:

@@ -128,7 +128,8 @@ def _report_files(summary: dict) -> dict[str, str]:
 def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) -> Path:
     """Write .dat tables and summary.txt for the run stored at `run_dir`.
 
-    A missing or malformed summary.json raises InvalidArgumentError first."""
+    A missing or malformed summary.json raises InvalidArgumentError before
+    anything is written; an output path that cannot be written raises it too."""
     run_dir = Path(run_dir)
     summary_path = run_dir / "summary.json"
     if not summary_path.exists():
@@ -153,7 +154,10 @@ def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) 
         ) from exc
 
     target = Path(outdir) if outdir is not None else run_dir / "report"
-    target.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (target / name).write_text(text, encoding="utf-8", newline="\n")
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (target / name).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write the report to {target}: {exc}") from exc
     return target

@@ -4,8 +4,12 @@ The walk moves from x to y with probability conductance(x,y)/mu_x.  Heat
 kernel values p_n(x,y) = P(X_n = y)/mu_y come from exact sparse
 transition products restricted to the light cone: after t steps the walk
 sits within t hops of its start, so with vertices sorted by hop distance
-each step multiplies only the leading block it can reach.  A second,
-killed product tracks the probability of having touched the window
+each step multiplies only the leading block it can reach.  The return
+probabilities need only half the horizon: the walk is reversible, so
+p_{s+t}(o,o) = sum_y p_s(o,y) p_t(o,y) mu_y, and in particular
+p_{2m}(o,o) = sum_y p_m(o,y)^2 mu_y, the identity that on-diagonal heat
+kernel upper bounds start from (Barlow, Coulhon & Kumagai, CPAM 2005).  A
+second, killed product tracks the probability of having touched the window
 boundary, which flags truncation effects; it starts at the first step
 that can reach the boundary, and the contact is exactly 0 before it.
 Monte Carlo trajectories draw from one dedicated stream per trajectory
@@ -71,14 +75,20 @@ def heat_kernel_exact(
     n_steps: int,
     snapshots: Sequence[int] = (),
 ) -> HeatKernelTable:
-    """Run n_steps exact transition products from `origin` on the light cone.
+    """Exact kernel series from `origin` to n_steps, by products on the light cone.
 
     After t steps the walk sits on vertices at most t hops from the origin,
     so with the vertices sorted by hop distance each step multiplies only
     the leading k x k block of the transition matrix, k >= |{hop <= t}|.
     The block is regrown by doubling k; once it holds every vertex the
-    step is the full product.  The killed product starts at the first step
-    that can reach the window edge: before it, boundary contact is exactly 0.
+    step is the full product.
+
+    The distribution q_m = P(X_m = .) runs only to m = ceil(n_steps / 2):
+    the walk is reversible, so p_{2m}(o, o) = sum_y q_m(y)^2 / mu_y and
+    p_{2m-1}(o, o) = sum_y q_{m-1}(y) q_m(y) / mu_y.  q runs further only
+    to the latest requested snapshot and to the first step that can reach
+    the window edge.  The killed product starts at that step and runs to
+    n_steps: before it, boundary contact is exactly 0.
     """
     if n_steps < 0:
         raise InvalidArgumentError("n_steps must be nonnegative")
@@ -100,6 +110,11 @@ def heat_kernel_exact(
     if g.truncated:
         edge = np.flatnonzero((order == 0) | (order == n - 1))
     edge_step = int(hops[order[edge[0]]]) if edge.size else n_steps + 1
+    # the last step of q, and the last step of any product
+    q_last = max([(n_steps + 1) // 2, *wanted])
+    if edge_step <= n_steps:
+        q_last = max(q_last, edge_step)
+    last = n_steps if edge_step <= n_steps else q_last
 
     def label_order(x: np.ndarray) -> np.ndarray:
         full = np.zeros(n)
@@ -111,9 +126,10 @@ def heat_kernel_exact(
     q = np.ones(1)
     killed = None
     series = np.empty(n_steps + 1)
+    series[0] = 1.0 / mu[0]
     contact = np.zeros(n_steps + 1)
     snaps: dict[int, np.ndarray] = {}
-    for t in range(n_steps + 1):
+    for t in range(last + 1):
         if t:
             need = int(reach[min(t, reach.size - 1)])
             if need > k:
@@ -124,10 +140,16 @@ def heat_kernel_exact(
                 if killed is not None:
                     killed = np.concatenate([killed, np.zeros(grown - k)])
                 k = grown
-            q = block @ q
-            total = q.sum()
-            if abs(total - 1.0) > _CONSERVATION_TOL:
-                raise SolverError(f"probability mass drifted to {total!r} at step {t}")
+            if t <= q_last:
+                previous, q = q, block @ q
+                total = q.sum()
+                if abs(total - 1.0) > _CONSERVATION_TOL:
+                    raise SolverError(f"probability mass drifted to {total!r} at step {t}")
+                if 2 * t - 1 <= n_steps:
+                    weighted = q / mu[:k]
+                    series[2 * t - 1] = weighted @ previous
+                    if 2 * t <= n_steps:
+                        series[2 * t] = weighted @ q
             if killed is not None:
                 killed = block @ killed
         if t == edge_step:
@@ -135,7 +157,6 @@ def heat_kernel_exact(
         if killed is not None:
             killed[edge[edge < k]] = 0.0
             contact[t] = 1.0 - killed.sum()
-        series[t] = q[0] / mu[0]
         if t in wanted:
             snaps[t] = label_order(q)
     return HeatKernelTable(int(origin), n_steps, g.labels, series, contact, snaps)
@@ -234,6 +255,9 @@ def simulate(
     # converts them to intp on every step
     indptr, indices = adj.indptr.astype(np.intp), adj.indices.astype(np.intp)
     edge_cum = np.concatenate([[0.0], np.cumsum(adj.data)])
+    # per vertex: where its bonds start in edge_cum, and its first and last bond
+    row_start = edge_cum[indptr[:-1]]
+    first_bond, last_bond = indptr[:-1], indptr[1:] - 1
     mu = g.measure
     dist = g.distances_from(origin, metric)
     oi = g.index(origin)
@@ -256,21 +280,25 @@ def simulate(
     for start in range(0, n_trajectories, chunk_size):
         stop = min(start + chunk_size, n_trajectories)
         m = stop - start
-        uniforms = np.empty((m, n_steps))
+        # step-major, so that each step reads and writes contiguous rows
+        uniforms = np.empty((n_steps, m))
         for i in range(m):
             stream = np.random.default_rng(mix_seed(seed, start + i))
-            uniforms[i] = stream.random(n_steps)
+            uniforms[:, i] = stream.random(n_steps)
 
-        x = np.full(m, oi, dtype=np.int64)
+        x = np.full(m, oi, dtype=np.intp)
         # vertex indices of each step; int32 halves the chunk's largest array
-        x_hist = np.empty((m, n_steps + 1), dtype=np.int32)
-        x_hist[:, 0] = oi
+        step_hist = np.empty((n_steps + 1, m), dtype=np.int32)
+        step_hist[0] = oi
         for t in range(1, n_steps + 1):
-            target = edge_cum[indptr[x]] + uniforms[:, t - 1] * mu[x]
-            pos = np.searchsorted(edge_cum, target, side="right") - 1
-            pos = np.clip(pos, indptr[x], indptr[x + 1] - 1)
+            target = uniforms[t - 1] * mu[x]
+            target += row_start[x]
+            pos = np.searchsorted(edge_cum, target, side="right")
+            pos -= 1
+            np.clip(pos, first_bond[x], last_bond[x], out=pos)
             x = indices[pos]
-            x_hist[:, t] = x
+            step_hist[t] = x
+        x_hist = np.ascontiguousarray(step_hist.T)  # one row per trajectory
         d_hist = dist[x_hist]
         displacement[start:stop] = d_hist[:, grid]
         endpoint[start:stop] = g.labels[x_hist[:, grid]]

@@ -40,19 +40,23 @@ def mini_config_text():
 
 
 class _ScaledLU:
-    """A factorization whose solves come back scaled by `scale`."""
+    """A factorization whose solves after the first `exact` come back scaled by `scale`."""
 
-    def __init__(self, lu, scale):
+    def __init__(self, lu, scale, exact):
         self._lu = lu
         self._scale = scale
+        self._exact = exact
 
     def solve(self, rhs):
+        if self._exact:
+            self._exact -= 1
+            return self._lu.solve(rhs)
         return self._scale * self._lu.solve(rhs)
 
 
-def _scale_solves(monkeypatch, scale):
+def _scale_solves(monkeypatch, scale, exact=0):
     real = resistance.splu
-    monkeypatch.setattr(resistance, "splu", lambda a: _ScaledLU(real(a), scale))
+    monkeypatch.setattr(resistance, "splu", lambda a: _ScaledLU(real(a), scale, exact))
 
 
 @pytest.fixture()
@@ -65,3 +69,9 @@ def wrong_solves(monkeypatch):
 def inexact_solves(monkeypatch):
     """Make every sparse LU solve in `resistance` 1e-6 off: one refinement step mends it."""
     _scale_solves(monkeypatch, 1 + 1e-6)
+
+
+@pytest.fixture()
+def late_wrong_solves(monkeypatch):
+    """Like `wrong_solves`, but the first two solves with each factor are exact."""
+    _scale_solves(monkeypatch, 1.5, exact=2)

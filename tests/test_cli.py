@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from resistive_walk import pipeline
 from resistive_walk.cli import main
 from resistive_walk.graph import read_edge_list
+
+TINY_CONFIG = b"name = tiny\nmodel = fixture\nfixture_name = line\nfixture_size = 16\n" \
+    b"ensemble = 1\nradius_grid = 2\n"
 
 
 @pytest.fixture()
@@ -136,19 +140,30 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
                         b'"ci_hi": [1]}, "resistance_volume_ratio": [1]}}\n'}),
      (["report", "."], {"summary.json": b"[" * 100_000 + b"]" * 100_000}),
      (["run", "."], {}),
-     (["run", "bad.cfg"], {"bad.cfg": b"name = x\nmodel = lrp\n# \xff\n"})],
+     (["run", "bad.cfg"], {"bad.cfg": b"name = x\nmodel = lrp\n# \xff\n"}),
+     (["report", ".", "--outdir", "afile"],
+      {"summary.json": b'{"name": "x", "ensemble": 1, "config_hash": "abc"}\n', "afile": b""}),
+     (["run", "tiny.cfg", "--outdir", "afile"], {"tiny.cfg": TINY_CONFIG, "afile": b""}),
+     (["run", "tiny.cfg", "--outdir", "afile/out"], {"tiny.cfg": TINY_CONFIG, "afile": b""})],
     ids=["report-not-json", "report-empty-object", "report-hash-not-string",
          "report-series-not-object", "report-series-lacks-field", "report-value-overflows",
          "report-columns-differ-in-length", "report-nested-too-deep",
-         "run-directory", "run-config-not-utf8"],
+         "run-directory", "run-config-not-utf8", "report-outdir-is-a-file",
+         "run-outdir-is-a-file", "run-outdir-under-a-file"],
 )
-def test_unreadable_run_input_exits_2(tmp_path, capsys, argv, files):
+def test_unreadable_run_input_exits_2(tmp_path, capsys, monkeypatch, argv, files):
+    def no_member(config, index):
+        raise AssertionError("a member ran")
+
+    monkeypatch.setattr(pipeline, "member_observables", no_member)
     for name, content in files.items():
         (tmp_path / name).write_bytes(content)
-    command, target = argv
-    assert main([command, str(tmp_path / target)]) == 2
+    command, *paths = argv
+    args = [a if a.startswith("--") else str(tmp_path / a) for a in paths]
+    assert main([command, *args]) == 2
     assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "report").exists()
+    # nothing created, nothing overwritten
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 def test_unknown_config_exits_2(capsys):

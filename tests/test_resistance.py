@@ -128,6 +128,42 @@ def test_pair_resistance_with_repeats_and_the_ground_matches_single_calls(lrp128
     assert got[1] == got[4] == 0.0
 
 
+# 22 distinct labels besides the ground 0, so solve blocks of 8, 8 and 6 columns
+BLOCKED_LABELS = list(range(-11, 12)) + [5, 0, -3]
+
+
+@pytest.fixture(scope="module")
+def lrp64():
+    return generate_long_range(LongRangeParams(64, 1.0, 3.5, seed=7))
+
+
+@pytest.fixture(scope="module")
+def lrp64_dense(lrp64):
+    return [0.0 if y == 0 else dense_resistance(lrp64, [0], [y]) for y in BLOCKED_LABELS]
+
+
+def test_blocked_pair_resistances_match_single_calls_and_the_dense_oracle(lrp64, lrp64_dense):
+    free = len(set(BLOCKED_LABELS) - {0})
+    assert free > 2 * resistance._CHECK_COLUMNS and free % resistance._CHECK_COLUMNS
+    got = OriginResistanceCache(lrp64).pair_resistance(BLOCKED_LABELS)
+    single = [OriginResistanceCache(lrp64).pair_resistance([y])[0] for y in BLOCKED_LABELS]
+    assert got.tobytes() == np.asarray(single).tobytes()
+    np.testing.assert_allclose(got, lrp64_dense, rtol=1e-10, atol=0)
+
+
+def test_wrong_solve_in_a_later_block_raises_solver_error(late_wrong_solves, lrp64):
+    # the first two blocks' solves are exact, so those blocks alone pass
+    free = sorted(set(BLOCKED_LABELS) - {0})
+    OriginResistanceCache(lrp64).pair_resistance(free[:2 * resistance._CHECK_COLUMNS])
+    with pytest.raises(SolverError, match="residual"):
+        OriginResistanceCache(lrp64).pair_resistance(BLOCKED_LABELS)
+
+
+def test_refinement_step_mends_inexact_solves_in_every_block(inexact_solves, lrp64, lrp64_dense):
+    got = OriginResistanceCache(lrp64).pair_resistance(BLOCKED_LABELS)
+    np.testing.assert_allclose(got, lrp64_dense, rtol=1e-10, atol=0)
+
+
 def test_pointwise_ratios_of_no_radii_factor_nothing(monkeypatch, lrp128):
     def no_factor(a):
         raise AssertionError("factored for no radii")

@@ -72,6 +72,62 @@ def test_light_cone_kernel_matches_dense_oracle(half_width, tail_exponent, seed)
     assert table.boundary_contact[edge_step] > 0.0
 
 
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+@pytest.mark.parametrize(
+    "half_width,tail_exponent,seed", [(32, 2.2, 1), (48, 3.0, 2), (64, 3.5, 3)]
+)
+def test_half_horizon_kernel_matches_dense_oracle(half_width, tail_exponent, seed, parity):
+    # q stops at ceil(n / 2) unless the window edge or a snapshot lies further
+    g = generate_long_range(LongRangeParams(half_width, 1.0, tail_exponent, seed=seed))
+    hops = g.distances_from(0)
+    edge_step = int(hops[np.isin(g.labels, g.window)].min())
+    n_steps = 3 * edge_step // 2
+    n_steps += (n_steps - parity) % 2
+    assert n_steps / 2 < edge_step < n_steps and n_steps % 2 == parity
+    table = heat_kernel_exact(g, 0, n_steps)
+    oracle = dense_heat_kernel(g, 0, n_steps)
+    np.testing.assert_allclose(
+        table.origin_series, oracle[:, g.index(0)], rtol=1e-12, atol=1e-15
+    )
+    contact, _ = _dense_killed_contact(g, 0, n_steps)
+    np.testing.assert_allclose(table.boundary_contact, contact, rtol=0, atol=1e-12)
+    assert np.all(table.boundary_contact[:edge_step] == 0.0)
+
+    # snapshots past n / 2 run q further and leave the series as it was
+    steps = (n_steps // 2 + 1, edge_step + 1, n_steps)
+    snapped = heat_kernel_exact(g, 0, n_steps, snapshots=steps)
+    for t in steps:
+        np.testing.assert_allclose(snapped.snapshots[t], oracle[t], rtol=1e-12, atol=1e-15)
+    assert snapped.origin_series.tobytes() == table.origin_series.tobytes()
+    assert snapped.boundary_contact.tobytes() == table.boundary_contact.tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [100, 101])
+def test_half_horizon_kernel_on_the_line_keeps_odd_returns_exactly_zero(line64, n_steps):
+    # the window edge, 64 hops out, lies between n / 2 and n
+    table = heat_kernel_exact(line64, 0, n_steps, snapshots=(55,))
+    oracle = dense_heat_kernel(line64, 0, n_steps)
+    assert np.all(table.origin_series[1::2] == 0.0)
+    np.testing.assert_allclose(
+        table.origin_series[::2], oracle[::2, line64.index(0)], rtol=1e-12, atol=0
+    )
+    np.testing.assert_allclose(table.snapshots[55], oracle[55], rtol=1e-12, atol=1e-15)
+    contact, first_hit = _dense_killed_contact(line64, 0, n_steps)
+    assert first_hit == 64
+    np.testing.assert_allclose(table.boundary_contact, contact, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_steps", [10, 11])
+def test_half_horizon_kernel_on_an_untruncated_graph_matches_dense_oracle(n_steps):
+    g = fixture("cycle", 7)  # odd, so odd returns are positive
+    oracle = dense_heat_kernel(g, 0, n_steps)
+    table = heat_kernel_exact(g, 0, n_steps)
+    np.testing.assert_allclose(table.origin_series, oracle[:, g.index(0)], rtol=1e-12)
+    snapped = heat_kernel_exact(g, 0, n_steps, snapshots=(7, n_steps))
+    for t in (7, n_steps):
+        np.testing.assert_allclose(snapped.snapshots[t], oracle[t], rtol=1e-12, atol=1e-15)
+
+
 def test_kernel_raises_when_mass_drifts(monkeypatch, lrp128):
     monkeypatch.setattr(lrp128, "measure", 1.01 * lrp128.measure)
     with pytest.raises(SolverError, match="mass drifted"):
