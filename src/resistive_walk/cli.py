@@ -10,10 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import MODELS, PRESET_NAMES, load_config, load_preset, with_overrides
+from .config import (MODELS, PRESET_NAMES, format_value, load_config, load_preset,
+                     with_overrides, write_csv)
 from .errors import ConfigError, InvalidArgumentError, SolverError
 from .generate import ExpTailParams, LongRangeParams, fixture, generate_exp_tail, generate_long_range
-from .graph import METRICS, dumps_edge_list, read_edge_list, write_edge_list
+from .graph import INT64, METRICS, dumps_edge_list, read_edge_list, write_edge_list
 from .pipeline import run as run_pipeline
 from .report import report as build_report
 from .resistance import effective_resistance
@@ -26,6 +27,17 @@ def _labels(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise InvalidArgumentError(f"bad label list {text!r}") from exc
+
+
+def _int64(text: str) -> int:
+    """argparse type of the count and size flags: an integer that fits in int64."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not INT64.min <= value <= INT64.max:
+        raise argparse.ArgumentTypeError(f"{text} does not fit in a 64-bit integer")
+    return value
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -69,17 +81,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_resistance(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
     value = effective_resistance(g, _labels(args.source), _labels(args.target))
-    print(repr(value))
+    print(format_value(value))
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
     rows = scale_observables(g, _labels(args.radii), metric=args.metric)
-    print("R,complement_resistance,max_pointwise_ratio")
-    for row in rows:
-        print(f"{row.radius},{row.complement_resistance!r},"
-              f"{row.max_pointwise_ratio!r}")
+    write_csv(sys.stdout, "R,complement_resistance,max_pointwise_ratio",
+              ((row.radius, row.complement_resistance, row.max_pointwise_ratio) for row in rows))
     return 0
 
 
@@ -88,11 +98,9 @@ def _cmd_heatkernel(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise InvalidArgumentError("heat kernel horizon must be at least 2 steps")
     table = heat_kernel_exact(g, g.marked, args.steps + 1)
-    print("n,p2n,f_n,boundary_mass")
-    for n in range(args.steps // 2 + 1):
-        p2n = float(table.origin_series[2 * n])
-        f_n = table.smoothed(2 * n)
-        print(f"{n},{p2n!r},{f_n!r},{float(table.boundary_contact[2 * n])!r}")
+    write_csv(sys.stdout, "n,p2n,f_n,boundary_mass",
+              ((n, table.origin_series[2 * n], table.smoothed(2 * n), table.boundary_contact[2 * n])
+               for n in range(args.steps // 2 + 1)))
     return 0
 
 
@@ -107,16 +115,12 @@ def _cmd_jcheck(args: argparse.Namespace) -> int:
         metric=args.metric,
     )
     obs = rep.observables
-    flags = (
-        f"member={str(rep.member).lower()} "
-        f"volume={obs.volume!r} volume_ok={str(rep.volume_ok).lower()} "
-        f"complement_resistance={obs.complement_resistance!r} "
-        f"resistance_ok={str(rep.resistance_ok).lower()} "
-        f"max_pointwise_ratio={obs.max_pointwise_ratio!r} "
-        f"pointwise_ok={str(rep.pointwise_ok).lower()} "
-        f"witness={'' if obs.witness is None else obs.witness}"
-    )
-    print(f"radius={rep.radius} tolerance={rep.tolerance!r} {flags}")
+    fields = {"radius": rep.radius, "tolerance": rep.tolerance, "member": rep.member,
+              "volume": obs.volume, "volume_ok": rep.volume_ok,
+              "complement_resistance": obs.complement_resistance,
+              "resistance_ok": rep.resistance_ok, "max_pointwise_ratio": obs.max_pointwise_ratio,
+              "pointwise_ok": rep.pointwise_ok, "witness": obs.witness}
+    print(" ".join(f"{key}={format_value(value)}" for key, value in fields.items()))
     return 0
 
 
@@ -134,14 +138,11 @@ def _cmd_walk(args: argparse.Namespace) -> int:
         time_grid=(args.steps,),
         metric=args.metric,
     )
-    print("trajectory,exit_time,censored,displacement,max_displacement,"
-          "range_weight,range_size")
-    for i in range(args.trajectories):
-        print(
-            f"{i},{int(stats.exit_time[i, 0])},{str(bool(stats.censored[i, 0])).lower()},"
-            f"{int(stats.displacement[i, 0])},{int(stats.max_displacement[i, 0])},"
-            f"{float(stats.range_weight[i, 0])!r},{int(stats.range_size[i, 0])}"
-        )
+    write_csv(sys.stdout,
+              "trajectory,exit_time,censored,displacement,max_displacement,range_weight,range_size",
+              zip(range(args.trajectories), stats.exit_time[:, 0], stats.censored[:, 0],
+                  stats.displacement[:, 0], stats.max_displacement[:, 0],
+                  stats.range_weight[:, 0], stats.range_size[:, 0]))
     return 0
 
 
@@ -169,13 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("generate", help="write one graph as an edge list")
     sub.add_argument("--model", choices=MODELS, required=True)
-    sub.add_argument("--half-width", type=int, default=128)
+    sub.add_argument("--half-width", type=_int64, default=128)
     sub.add_argument("--beta", type=float, default=1.0)
     sub.add_argument("--tail-exponent", type=float, default=3.5)
     sub.add_argument("--rate", type=float, default=1.0)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--fixture", default="line", help="fixture family name")
-    sub.add_argument("--size", type=int, default=None)
+    sub.add_argument("--size", type=_int64, default=None)
     sub.add_argument("--out", default="", help="output path (default: stdout)")
     sub.set_defaults(func=_cmd_generate)
 
@@ -193,12 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("heatkernel", help="return probabilities at the marked vertex")
     _add_graph_arg(sub)
-    sub.add_argument("--steps", type=int, required=True)
+    sub.add_argument("--steps", type=_int64, required=True)
     sub.set_defaults(func=_cmd_heatkernel)
 
     sub = subs.add_parser("jcheck", help="good-scale membership at one radius")
     _add_graph_arg(sub)
-    sub.add_argument("--radius", type=int, required=True)
+    sub.add_argument("--radius", type=_int64, required=True)
     sub.add_argument("--tolerance", type=float, required=True)
     sub.add_argument("--volume-exponent", type=float, default=1.0)
     sub.add_argument("--volume-log-power", type=float, default=0.0)
@@ -209,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("walk", help="sample trajectories from the marked vertex")
     _add_graph_arg(sub)
-    sub.add_argument("--steps", type=int, required=True)
-    sub.add_argument("--trajectories", type=int, default=256)
+    sub.add_argument("--steps", type=_int64, required=True)
+    sub.add_argument("--trajectories", type=_int64, default=256)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--radius", type=int, required=True)
+    sub.add_argument("--radius", type=_int64, required=True)
     sub.add_argument("--metric", choices=METRICS, default="graph")
     sub.set_defaults(func=_cmd_walk)
     return parser

@@ -13,9 +13,12 @@ import typing
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
+from typing import IO, Iterable
+
+import numpy as np
 
 from .errors import ConfigError
-from .graph import METRICS
+from .graph import INT64, METRICS
 
 MODELS = ("lrp", "exp", "fixture")
 
@@ -71,14 +74,28 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.split(","))
 
 
-def _show(value) -> str:
-    if isinstance(value, bool):
+def format_value(value) -> str:
+    """The text of one value in run files, config files and CLI output: None is
+    empty, booleans true or false, integers decimal, floats their round-trip
+    repr and tuples their items joined by commas, numpy scalars included."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, tuple):
-        return ",".join(_show(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
+        return ",".join(map(format_value, value))
     return str(value)
+
+
+def write_csv(stream: IO[str], header: str, rows: Iterable[Iterable]) -> None:
+    """Write a header line, then one line of comma-joined values per row."""
+    stream.write(header + "\n")
+    for row in rows:
+        stream.write(",".join(map(format_value, row)) + "\n")
 
 
 _PARSERS = {
@@ -119,7 +136,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    lines = [f"{f.name} = {_show(getattr(config, f.name))}" for f in fields(ExperimentConfig)]
+    lines = [f"{f.name} = {format_value(getattr(config, f.name))}" for f in fields(ExperimentConfig)]
     return "\n".join(lines) + "\n"
 
 
@@ -129,10 +146,15 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def validate_config(config: ExperimentConfig) -> None:
     for name, hint in typing.get_type_hints(ExperimentConfig).items():
-        if hint in (float, tuple[float, ...]):
-            value = getattr(config, name)
-            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-                raise ConfigError(f"{name} must be finite")
+        value = getattr(config, name)
+        values = value if isinstance(value, tuple) else (value,)
+        if hint in (float, tuple[float, ...]) and not all(map(math.isfinite, values)):
+            raise ConfigError(f"{name} must be finite")
+        # sizes and grids become array lengths and entries; seeds may be any size
+        if hint in (int, tuple[int, ...]) and name != "master_seed" and not all(
+            INT64.min <= v <= INT64.max for v in values
+        ):
+            raise ConfigError(f"{name} must fit in a 64-bit integer")
     if config.model not in MODELS:
         raise ConfigError(f"model must be one of {MODELS}, got {config.model!r}")
     if config.metric not in METRICS:

@@ -175,6 +175,8 @@ def fixture(name: str, size: int | None = None) -> Graph:
     heap-ordered labels, root 0.  ladder(n): 2 x n grid.  line(L): pure
     nearest-neighbour window on -L..L.
     """
+    if name not in ("parallel_pair", "path", "cycle", "binary_tree", "ladder", "line"):
+        raise InvalidArgumentError(f"unknown fixture {name!r}")
     if name == "parallel_pair":
         if size is not None:
             raise InvalidArgumentError("parallel_pair takes no size")
@@ -200,11 +202,9 @@ def fixture(name: str, size: int | None = None) -> Graph:
         rails = np.arange(2 * size - 2)
         u = np.concatenate([np.arange(0, 2 * size, 2), rails])
         v = np.concatenate([np.arange(1, 2 * size, 2), rails + 2])
-    elif name == "line":
+    else:  # line
         if size < 2:
             raise InvalidArgumentError("line needs half-width at least 2")
         u = np.arange(-size, size)
         v = u + 1
-    else:
-        raise InvalidArgumentError(f"unknown fixture {name!r}")
     return Graph.from_arrays(u, v, np.ones(len(u)), marked=0, truncated=name == "line")

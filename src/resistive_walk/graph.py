@@ -25,6 +25,9 @@ from .errors import InvalidArgumentError, TruncationError
 
 METRICS = ("graph", "line")
 
+# vertex labels, sizes and grid entries are held as int64
+INT64 = np.iinfo(np.int64)
+
 
 def _check_metric(metric: str) -> str:
     if metric not in METRICS:
@@ -38,8 +41,8 @@ class Graph:
     Parameters
     ----------
     bonds : iterable of (u, v, conductance)
-        Vertex labels are integers, conductances positive reals.  Repeated
-        (u, v) pairs are kept as parallel bonds.
+        Vertex labels are integers that fit in int64, conductances positive
+        reals.  Repeated (u, v) pairs are kept as parallel bonds.
     marked : int
         Distinguished origin vertex; must appear in some bond.
     truncated : bool
@@ -80,12 +83,8 @@ class Graph:
         truncated: bool = False,
     ) -> None:
         triples = list(bonds)
-        self._build(
-            np.asarray([t[0] for t in triples], dtype=np.int64),
-            np.asarray([t[1] for t in triples], dtype=np.int64),
-            np.asarray([t[2] for t in triples], dtype=np.float64),
-            marked, truncated,
-        )
+        self._build([t[0] for t in triples], [t[1] for t in triples],
+                    np.asarray([t[2] for t in triples], dtype=np.float64), marked, truncated)
 
     @classmethod
     def from_arrays(
@@ -102,22 +101,21 @@ class Graph:
         its own copy of c.
         """
         g = cls.__new__(cls)
-        g._build(
-            np.asarray(u, dtype=np.int64),
-            np.asarray(v, dtype=np.int64),
-            np.array(c, dtype=np.float64),
-            marked, truncated,
-        )
+        g._build(u, v, np.array(c, dtype=np.float64), marked, truncated)
         return g
 
     def _build(
         self,
-        u: np.ndarray,
-        v: np.ndarray,
+        u: ArrayLike,
+        v: ArrayLike,
         c: np.ndarray,
         marked: int,
         truncated: bool,
     ) -> None:
+        try:
+            u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        except OverflowError as exc:
+            raise InvalidArgumentError("vertex labels must fit in a 64-bit integer") from exc
         if not (u.ndim == v.ndim == c.ndim == 1 and u.size == v.size == c.size):
             raise InvalidArgumentError("bond arrays u, v, c must be 1-D and of equal length")
         if not c.size:

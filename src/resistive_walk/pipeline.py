@@ -24,6 +24,7 @@ from .config import (
     config_hash,
     serialize_config,
     validate_config,
+    write_csv,
 )
 from .errors import ConfigError, InvalidArgumentError
 from .generate import (
@@ -193,25 +194,6 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
 # -- output files -----------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _displacement_rows(config: ExperimentConfig, member: dict):
     for trajectory, row in enumerate(member["disp_matrix"]):
         for t, distance in zip(config.time_grid, row):
@@ -372,15 +354,10 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
     if times and config.theta_grid:
         displacements = np.vstack([res["disp_matrix"] for res in results])
         thetas = sorted(set(config.theta_grid) | {config.theta_star})
-        rows = tightness_table(
-            thetas, exit_ratio_matrix, kernel_ratio_matrix, displacements, scale_t
-        )
         summary["tightness"] = {
-            "thetas": [row.theta for row in rows],
-            "exit": [row.exit_fraction for row in rows],
-            "kernel": [row.kernel_fraction for row in rows],
-            "displacement_upper": [row.displacement_upper for row in rows],
-            "displacement_lower": [row.displacement_lower for row in rows],
+            **tightness_table(
+                thetas, exit_ratio_matrix, kernel_ratio_matrix, displacements, scale_t
+            ),
             "theta_star": config.theta_star,
         }
 
@@ -442,11 +419,9 @@ def run(
     obs_dir = target / "observables"
     obs_dir.mkdir(parents=True, exist_ok=True)
     for name, header, member_rows in OBSERVABLE_FILES:
-        _write_csv(
-            obs_dir / name,
-            header,
-            ((res["index"], *row) for res in results for row in member_rows(config, res)),
-        )
+        rows = ((res["index"], *row) for res in results for row in member_rows(config, res))
+        with open(obs_dir / name, "w", newline="\n") as fh:
+            write_csv(fh, header, rows)
     summary = build_summary(config, results)
 
     if config.store_graphs:

@@ -322,52 +322,40 @@ def failure_decay_fit(
     return DecayFit(-slope, tuple(xs), tuple(ys), floored)
 
 
-@dataclass(frozen=True)
-class TightnessRow:
-    theta: float
-    exit_fraction: float
-    kernel_fraction: float
-    displacement_upper: float
-    displacement_lower: float
-
-
 def tightness_table(
     thetas: Sequence[float],
     exit_ratios: np.ndarray,
     kernel_ratios: np.ndarray,
     displacements: np.ndarray,
     scales: np.ndarray,
-) -> list[TightnessRow]:
+) -> dict[str, list[float]]:
     """Worst-case-over-grid concentration fractions at each theta.
 
     exit_ratios and kernel_ratios hold per-graph observable/prediction
     ratios, one column per radius or time; displacements holds pooled
     per-trajectory distances with matching scale factors per column.
-    Every column fraction is monotone in theta, hence so is the min.
+    Returns the columns `thetas`, `exit`, `kernel`, `displacement_upper`
+    and `displacement_lower`, one entry per theta.  Every column fraction
+    is monotone in theta, hence so is the min.
     """
     exit_ratios = np.atleast_2d(np.asarray(exit_ratios, dtype=float))
     kernel_ratios = np.atleast_2d(np.asarray(kernel_ratios, dtype=float))
     displacements = np.atleast_2d(np.asarray(displacements, dtype=float))
     scales = np.asarray(scales, dtype=float)
-    rows = []
-    for theta in thetas:
-        if not theta >= 1:
-            raise InvalidArgumentError("theta must be at least 1")
-        inv = 1.0 / theta
-        band_exit = (exit_ratios >= inv) & (exit_ratios <= theta)
-        band_kernel = (kernel_ratios >= inv) & (kernel_ratios <= theta)
-        upper = displacements / scales < theta
-        lower = (1.0 + displacements) / scales > inv
-        rows.append(
-            TightnessRow(
-                theta=float(theta),
-                exit_fraction=float(band_exit.mean(axis=0).min()),
-                kernel_fraction=float(band_kernel.mean(axis=0).min()),
-                displacement_upper=float(upper.mean(axis=0).min()),
-                displacement_lower=float(lower.mean(axis=0).min()),
-            )
-        )
-    return rows
+    if not all(theta >= 1 for theta in thetas):
+        raise InvalidArgumentError("theta must be at least 1")
+    thetas = [float(theta) for theta in thetas]
+
+    def worst(inside) -> list[float]:
+        return [float(inside(theta).mean(axis=0).min()) for theta in thetas]
+
+    return {
+        "thetas": thetas,
+        "exit": worst(lambda t: (exit_ratios >= 1.0 / t) & (exit_ratios <= t)),
+        "kernel": worst(lambda t: (kernel_ratios >= 1.0 / t) & (kernel_ratios <= t)),
+        "displacement_upper": worst(lambda t: displacements / scales < t),
+        "displacement_lower": worst(lambda t: (1.0 + displacements) / scales > 1.0 / t),
+    }
 
 
 def bootstrap_mean_ci(

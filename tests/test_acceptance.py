@@ -6,6 +6,7 @@ heavy ensemble presets run once per session and are shared.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -31,6 +32,9 @@ from resistive_walk.walk import heat_kernel_exact, mean_exit_time_exact, simulat
 
 IDENTITY_RTOL = 1e-8
 STRICT_SLACK = 1e-12
+# the ensemble fixtures run their members in parallel; outputs do not depend
+# on the worker count (test_worker_count_determinism)
+ENSEMBLE_WORKERS = min(2, os.cpu_count() or 1)
 
 
 def random_fixture(rng, max_vertices=64, min_vertices=2):
@@ -60,13 +64,13 @@ def _split_labels(rng, g, n_source, n_target, spare=0):
 @pytest.fixture(scope="module")
 def lrp_record(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("acceptance") / "lrp-s3.5"
-    return run(load_preset("lrp-s3.5"), outdir)
+    return run(load_preset("lrp-s3.5"), outdir, workers=ENSEMBLE_WORKERS)
 
 
 @pytest.fixture(scope="module")
 def exp_record(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("acceptance") / "exp-c1"
-    return run(load_preset("exp-c1"), outdir)
+    return run(load_preset("exp-c1"), outdir, workers=ENSEMBLE_WORKERS)
 
 
 def test_oracle_equivalence_on_random_fixtures():

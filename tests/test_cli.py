@@ -6,6 +6,9 @@ from resistive_walk import pipeline
 from resistive_walk.cli import main
 from resistive_walk.graph import read_edge_list
 
+# past the int64 range: 2**64 < BIG < 2**67
+BIG = "99999999999999999999"
+
 TINY_CONFIG = b"name = tiny\nmodel = fixture\nfixture_name = line\nfixture_size = 16\n" \
     b"ensemble = 1\nradius_grid = 2\n"
 
@@ -95,6 +98,27 @@ def test_walk_rejects_odd_steps(line_file, capsys):
     assert "even" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["walk", "{graph}", "--steps", "100000000000000000000", "--radius", "2"],
+     ["walk", "{graph}", "--steps", "4", "--trajectories", BIG, "--radius", "2"],
+     ["walk", "{graph}", "--steps", "4", "--radius", BIG],
+     ["heatkernel", "{graph}", "--steps", BIG],
+     ["jcheck", "{graph}", "--radius", BIG, "--tolerance", "2"],
+     ["generate", "--model", "lrp", "--half-width", BIG],
+     ["generate", "--model", "fixture", "--fixture", "path", "--size", BIG]],
+    ids=["walk-steps", "walk-trajectories", "walk-radius", "heatkernel-steps",
+         "jcheck-radius", "generate-half-width", "generate-size"],
+)
+def test_count_and_size_flags_past_int64_exit_2(line_file, capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main([a.format(graph=line_file) for a in argv])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert "does not fit in a 64-bit integer" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_graph_file_exits_2(tmp_path, capsys):
     assert main(["resistance", str(tmp_path / "gone.edges"),
                  "--source", "0", "--target", "1"]) == 2
@@ -107,8 +131,10 @@ def test_missing_graph_file_exits_2(tmp_path, capsys):
      b"# marked=0 window=0,1 truncated=2\n0 1 1.0\n",
      b"# marked=0 window=0,1\n0 1 \xff\n",
      # the path -2..2 under a header that states a wider window
-     b"# marked=0 window=-100,100 truncated=1\n-2 -1 1.0\n-1 0 1.0\n0 1 1.0\n1 2 1.0\n"],
-    ids=["truncated-yes", "truncated-2", "not-utf8", "window-not-label-range"],
+     b"# marked=0 window=-100,100 truncated=1\n-2 -1 1.0\n-1 0 1.0\n0 1 1.0\n1 2 1.0\n",
+     f"# marked=0 window=0,{BIG}\n0 {BIG} 1.0\n".encode()],
+    ids=["truncated-yes", "truncated-2", "not-utf8", "window-not-label-range",
+         "label-past-int64"],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "bad.edges"
@@ -144,12 +170,14 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
      (["report", ".", "--outdir", "afile"],
       {"summary.json": b'{"name": "x", "ensemble": 1, "config_hash": "abc"}\n', "afile": b""}),
      (["run", "tiny.cfg", "--outdir", "afile"], {"tiny.cfg": TINY_CONFIG, "afile": b""}),
-     (["run", "tiny.cfg", "--outdir", "afile/out"], {"tiny.cfg": TINY_CONFIG, "afile": b""})],
+     (["run", "tiny.cfg", "--outdir", "afile/out"], {"tiny.cfg": TINY_CONFIG, "afile": b""}),
+     (["run", "big.cfg", "--outdir", "out"],
+      {"big.cfg": f"name = x\nmodel = lrp\nhalf_width = {BIG}\n".encode()})],
     ids=["report-not-json", "report-empty-object", "report-hash-not-string",
          "report-series-not-object", "report-series-lacks-field", "report-value-overflows",
          "report-columns-differ-in-length", "report-nested-too-deep",
          "run-directory", "run-config-not-utf8", "report-outdir-is-a-file",
-         "run-outdir-is-a-file", "run-outdir-under-a-file"],
+         "run-outdir-is-a-file", "run-outdir-under-a-file", "run-half-width-past-int64"],
 )
 def test_unreadable_run_input_exits_2(tmp_path, capsys, monkeypatch, argv, files):
     def no_member(config, index):

@@ -1,13 +1,18 @@
+import io
+
+import numpy as np
 import pytest
 
 from resistive_walk.config import (
     PRESET_NAMES,
     config_hash,
+    format_value,
     load_preset,
     parse_config,
     serialize_config,
     validate_config,
     with_overrides,
+    write_csv,
 )
 from resistive_walk.errors import ConfigError
 
@@ -76,6 +81,8 @@ BASE = "name = x\nmodel = lrp\nhalf_width = 64\ntail_exponent = 3.5\n"
         ("radius_grid = 4,8\nmc_exit_radii = 4,16\n", "subset"),
         ("radius_grid = 4,8\nmc_exit_radii = 4\n", "need a time_grid"),
         ("radius_grid = 4,32\n", "quarter"),
+        ("time_grid = 8,100000000000000000000\n", "time_grid must fit in a 64-bit integer"),
+        ("n_trajectories = 99999999999999999999\n", "n_trajectories must fit in a 64-bit"),
     ],
 )
 def test_validation_failures(extra, message):
@@ -92,6 +99,22 @@ def test_model_specific_requirements():
         parse_config("name = x\nmodel = exp\nhalf_width = 8\nrate = 0\n")
     with pytest.raises(ConfigError, match="fixture_name"):
         parse_config("name = x\nmodel = fixture\n")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [("name = x\nmodel = lrp\nhalf_width = 99999999999999999999\n", "half_width"),
+     ("name = x\nmodel = fixture\nfixture_name = line\nfixture_size = 99999999999999999999\n",
+      "fixture_size")],
+)
+def test_window_sizes_must_fit_in_int64(text, key):
+    with pytest.raises(ConfigError, match=f"{key} must fit in a 64-bit integer"):
+        parse_config(text)
+
+
+def test_master_seed_may_exceed_int64():
+    config = parse_config(BASE + "master_seed = 99999999999999999999\n")
+    assert config.master_seed == 99999999999999999999
 
 
 def test_presets_all_load_and_validate():
@@ -119,3 +142,19 @@ def test_hash_tracks_content(mini_config_text):
     assert config_hash(config) == config_hash(config)
     other = with_overrides(config, master_seed=100)
     assert config_hash(other) != config_hash(config)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(None, ""), (True, "true"), (np.bool_(False), "false"), (7, "7"), (np.int32(-3), "-3"),
+     (0.1, "0.1"), (np.float64(1e-300), "1e-300"), (2.0, "2.0"), (float("inf"), "inf"),
+     ((4, 8), "4,8"), ((2.0, 0.5), "2.0,0.5"), ((), ""), ("mini", "mini")],
+)
+def test_format_value(value, text):
+    assert format_value(value) == text
+
+
+def test_write_csv_writes_header_and_rows():
+    stream = io.StringIO()
+    write_csv(stream, "graph,R,ok", [(0, 4, True), (1, np.int64(8), None)])
+    assert stream.getvalue() == "graph,R,ok\n0,4,true\n1,8,\n"

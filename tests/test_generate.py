@@ -280,6 +280,12 @@ def test_fixture_rejects_unknown_name():
         fixture("torus", 4)
 
 
+@pytest.mark.parametrize("size", [None, 0])
+def test_fixture_checks_its_name_before_its_size(size):
+    with pytest.raises(InvalidArgumentError, match="unknown fixture 'nope'"):
+        fixture("nope", size)
+
+
 @pytest.mark.parametrize("name, size", [("cycle", 2), ("ladder", 1), ("line", 1)])
 def test_fixture_rejects_bad_size(name, size):
     with pytest.raises(InvalidArgumentError):

@@ -317,6 +317,13 @@ def test_with_bond_past_a_truncated_window_widens_it(line64):
     assert h.half_width() == 64
 
 
+def test_labels_past_int64_are_refused(line64):
+    with pytest.raises(InvalidArgumentError, match="64-bit integer"):
+        line64.with_bond(0, 2**64)
+    with pytest.raises(InvalidArgumentError, match="64-bit integer"):
+        loads_edge_list(f"# marked=0 window=0,{2**64}\n0 {2**64} 1.0\n")
+
+
 def test_edge_list_round_trip(lrp128):
     text = dumps_edge_list(lrp128)
     h = loads_edge_list(text)
@@ -473,6 +480,8 @@ def test_gapped_graphs_match_tuple_path(name):
         ([(0, 1, 0.25), (1, 0, 0.25), (1, 2, 1.0)], {}, "measure >= 1"),
         ([(0, 1, 0.5)], {}, "measure >= 1"),
         ([(0, 1, 1.0), (5, 6, 1.0)], {}, "connected"),
+        ([(0, 99999999999999999999, 1.0)], {}, "64-bit integer"),
+        ([(-99999999999999999999, 0, 1.0)], {}, "64-bit integer"),
     ],
 )
 def test_from_arrays_raises_as_the_tuple_path(bonds, kwargs, message):

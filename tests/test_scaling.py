@@ -207,21 +207,20 @@ def test_tightness_fractions_are_monotone_in_theta():
     kernel_ratios = rng.lognormal(0.0, 0.5, size=(40, 4))
     disp = rng.integers(0, 30, size=(200, 4)).astype(float)
     scales = np.asarray([2.0, 4.0, 8.0, 16.0])
-    rows = tightness_table([1.0, 2.0, 4.0, 8.0], exit_ratios, kernel_ratios, disp, scales)
-    for field in ("exit_fraction", "kernel_fraction", "displacement_upper",
-                  "displacement_lower"):
-        vals = [getattr(row, field) for row in rows]
-        assert vals == sorted(vals)
+    table = tightness_table([1.0, 2.0, 4.0, 8.0], exit_ratios, kernel_ratios, disp, scales)
+    assert table["thetas"] == [1.0, 2.0, 4.0, 8.0]
+    for column in ("exit", "kernel", "displacement_upper", "displacement_lower"):
+        assert table[column] == sorted(table[column])
 
 
 def test_tightness_is_worst_column():
     # first column always inside the band, second never
     exit_ratios = np.column_stack([np.ones(10), np.full(10, 100.0)])
-    rows = tightness_table(
+    table = tightness_table(
         [2.0], exit_ratios, np.ones((10, 1)), np.ones((10, 1)), np.asarray([1.0])
     )
-    assert rows[0].exit_fraction == 0.0
-    assert rows[0].kernel_fraction == 1.0
+    assert table["exit"] == [0.0]
+    assert table["kernel"] == [1.0]
 
 
 def test_tightness_rejects_theta_below_one():
