@@ -10,8 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import (MODELS, PRESET_NAMES, format_value, load_config, load_preset,
-                     with_overrides, write_csv)
+from .config import MODELS, PRESET_NAMES, format_value, load_config, load_preset, write_csv
 from .errors import ConfigError, InvalidArgumentError, SolverError
 from .generate import ExpTailParams, LongRangeParams, fixture, generate_exp_tail, generate_long_range
 from .graph import INT64, METRICS, dumps_edge_list, read_edge_list, write_edge_list
@@ -48,9 +47,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = load_preset(args.config)
     else:
         raise ConfigError(f"no config file or preset named {args.config!r}")
-    if args.outdir:
-        config = with_overrides(config, outdir=args.outdir)
-    record = run_pipeline(config)
+    record = run_pipeline(config, args.outdir)
     print(f"wrote {record.path} ({record.wallclock_seconds:.1f}s, "
           f"{record.workers} worker(s))")
     return 0
@@ -160,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("run", help="run a configured ensemble experiment")
     sub.add_argument("config", help="config file path or preset name "
                      f"({', '.join(PRESET_NAMES)})")
-    sub.add_argument("--outdir", default="", help="override the output directory")
+    sub.add_argument("--outdir", help="output directory (required)")
     sub.set_defaults(func=_cmd_run)
 
     sub = subs.add_parser("report", help="summarize a finished run directory")

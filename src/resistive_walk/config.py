@@ -17,7 +17,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
+from .generate import ExpTailParams, LongRangeParams, check_fixture
 from .graph import INT64, METRICS
 
 MODELS = ("lrp", "exp", "fixture")
@@ -51,7 +52,6 @@ class ExperimentConfig:
     n_trajectories: int = 256
     mc_exit_radii: tuple[int, ...] = ()
     store_graphs: bool = False
-    outdir: str = ""
 
 
 def _parse_bool(raw: str) -> bool:
@@ -167,21 +167,16 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("n_trajectories must be at least 1")
     if config.master_seed < 0:
         raise ConfigError("master_seed must be nonnegative")
-    if config.model == "lrp":
-        if config.half_width < 2:
-            raise ConfigError("lrp model needs half_width >= 2")
-        if not config.tail_exponent > 2:
-            raise ConfigError("tail_exponent must exceed 2")
-        if config.beta < 0:
-            raise ConfigError("beta must be nonnegative")
-    elif config.model == "exp":
-        if config.half_width < 2:
-            raise ConfigError("exp model needs half_width >= 2")
-        if not config.rate > 0:
-            raise ConfigError("rate must be positive")
-    else:
-        if not config.fixture_name:
-            raise ConfigError("fixture model needs fixture_name")
+    # the generators own the model rules; their messages name the config keys
+    try:
+        if config.model == "lrp":
+            LongRangeParams(config.half_width, config.beta, config.tail_exponent, 0).validate()
+        elif config.model == "exp":
+            ExpTailParams(config.half_width, config.rate, 0).validate()
+        else:
+            check_fixture(config.fixture_name, config.fixture_size or None)
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
     for grid_name in ("radius_grid", "time_grid", "goodscale_radii",
                       "tolerance_grid", "theta_grid", "mc_exit_radii"):
         grid = getattr(config, grid_name)

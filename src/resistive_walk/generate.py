@@ -87,7 +87,7 @@ class LongRangeParams:
         if not self.beta >= 0:
             raise InvalidArgumentError("beta must be nonnegative")
         if not self.tail_exponent > 2:
-            raise InvalidArgumentError("tail exponent must exceed 2")
+            raise InvalidArgumentError("tail exponent (tail_exponent) must exceed 2")
         if not 0 <= self.seed <= _MASK64:
             raise InvalidArgumentError("seed must be an unsigned 64-bit integer")
 
@@ -167,6 +167,23 @@ def generate_exp_tail(params: ExpTailParams) -> Graph:
 # -- deterministic fixtures ------------------------------------------------
 
 
+# Smallest size of each fixture family; parallel_pair takes none.
+FIXTURE_SIZES = {"parallel_pair": None, "path": 1, "cycle": 3, "binary_tree": 1, "ladder": 2,
+                 "line": 2}
+
+
+def check_fixture(name: str, size: int | None) -> None:
+    """Refuse a family `fixture` does not know, or a size it cannot build."""
+    if name not in FIXTURE_SIZES:
+        raise InvalidArgumentError(
+            f"unknown fixture {name!r}: fixture_name must be one of {', '.join(FIXTURE_SIZES)}"
+        )
+    least = FIXTURE_SIZES[name]
+    if (size is None) != (least is None) or (size is not None and size < least):
+        wanted = "no size" if least is None else f"a size of at least {least}"
+        raise InvalidArgumentError(f"fixture {name!r} takes {wanted} (fixture_size), got {size}")
+
+
 def fixture(name: str, size: int | None = None) -> Graph:
     """Small named graphs used throughout the tests.
 
@@ -175,36 +192,21 @@ def fixture(name: str, size: int | None = None) -> Graph:
     heap-ordered labels, root 0.  ladder(n): 2 x n grid.  line(L): pure
     nearest-neighbour window on -L..L.
     """
-    if name not in ("parallel_pair", "path", "cycle", "binary_tree", "ladder", "line"):
-        raise InvalidArgumentError(f"unknown fixture {name!r}")
+    check_fixture(name, size)
     if name == "parallel_pair":
-        if size is not None:
-            raise InvalidArgumentError("parallel_pair takes no size")
         u, v = np.array([0, 0]), np.array([1, 1])
-    elif size is None or size < 1:
-        raise InvalidArgumentError(f"fixture {name!r} needs a positive size")
-    elif name == "path":
-        u = np.arange(size)
+    elif name in ("path", "line"):
+        u = np.arange(-size if name == "line" else 0, size)
         v = u + 1
     elif name == "cycle":
-        if size < 3:
-            raise InvalidArgumentError("cycle needs at least 3 vertices")
         u = np.arange(size)
         v = (u + 1) % size
     elif name == "binary_tree":
         # heap order: vertex i has children 2i+1 and 2i+2
         v = np.arange(1, 2 ** (size + 1) - 1)
         u = (v - 1) // 2
-    elif name == "ladder":
-        if size < 2:
-            raise InvalidArgumentError("ladder needs at least 2 rungs")
-        # rungs first, then the two rails interleaved rung by rung
+    else:  # ladder: rungs first, then the two rails interleaved rung by rung
         rails = np.arange(2 * size - 2)
         u = np.concatenate([np.arange(0, 2 * size, 2), rails])
         v = np.concatenate([np.arange(1, 2 * size, 2), rails + 2])
-    else:  # line
-        if size < 2:
-            raise InvalidArgumentError("line needs half-width at least 2")
-        u = np.arange(-size, size)
-        v = u + 1
     return Graph.from_arrays(u, v, np.ones(len(u)), marked=0, truncated=name == "line")

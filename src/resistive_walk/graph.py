@@ -113,9 +113,15 @@ class Graph:
         truncated: bool,
     ) -> None:
         try:
-            u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-        except OverflowError as exc:
-            raise InvalidArgumentError("vertex labels must fit in a 64-bit integer") from exc
+            with np.errstate(invalid="ignore"):
+                u64, v64 = (np.asarray(x).astype(np.int64, copy=False) for x in (u, v))
+            # a cast that changes a label, a fraction or a value past int64, is refused
+            if not (np.array_equal(u64, u) and np.array_equal(v64, v)):
+                raise ValueError
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise InvalidArgumentError(
+                "vertex labels must be integers that fit in a 64-bit integer") from exc
+        u, v = u64, v64
         if not (u.ndim == v.ndim == c.ndim == 1 and u.size == v.size == c.size):
             raise InvalidArgumentError("bond arrays u, v, c must be 1-D and of equal length")
         if not c.size:

@@ -390,9 +390,9 @@ def run(
     """Execute the configured experiment and persist all outputs."""
     validate_config(config)
     started = time.time()
-    target = Path(outdir) if outdir is not None else Path(config.outdir)
-    if str(target) in ("", "."):
-        raise ConfigError("an output directory is required (outdir)")
+    if outdir is None or str(Path(outdir)) == ".":
+        raise ConfigError("an output directory is required (outdir, --outdir DIR)")
+    target = Path(outdir)
     if workers is None:
         try:
             workers = int(os.environ.get(WORKERS_ENV, "1"))

@@ -4,6 +4,7 @@ import pytest
 
 from resistive_walk import pipeline
 from resistive_walk.cli import main
+from resistive_walk.config import load_config
 from resistive_walk.graph import read_edge_list
 
 # past the int64 range: 2**64 < BIG < 2**67
@@ -172,12 +173,15 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
      (["run", "tiny.cfg", "--outdir", "afile"], {"tiny.cfg": TINY_CONFIG, "afile": b""}),
      (["run", "tiny.cfg", "--outdir", "afile/out"], {"tiny.cfg": TINY_CONFIG, "afile": b""}),
      (["run", "big.cfg", "--outdir", "out"],
-      {"big.cfg": f"name = x\nmodel = lrp\nhalf_width = {BIG}\n".encode()})],
+      {"big.cfg": f"name = x\nmodel = lrp\nhalf_width = {BIG}\n".encode()}),
+     (["run", "tiny.cfg"], {"tiny.cfg": TINY_CONFIG}),
+     (["run", "old.cfg", "--outdir", "out"], {"old.cfg": TINY_CONFIG + b"outdir = x\n"})],
     ids=["report-not-json", "report-empty-object", "report-hash-not-string",
          "report-series-not-object", "report-series-lacks-field", "report-value-overflows",
          "report-columns-differ-in-length", "report-nested-too-deep",
          "run-directory", "run-config-not-utf8", "report-outdir-is-a-file",
-         "run-outdir-is-a-file", "run-outdir-under-a-file", "run-half-width-past-int64"],
+         "run-outdir-is-a-file", "run-outdir-under-a-file", "run-half-width-past-int64",
+         "run-without-outdir", "run-config-sets-outdir"],
 )
 def test_unreadable_run_input_exits_2(tmp_path, capsys, monkeypatch, argv, files):
     def no_member(config, index):
@@ -209,6 +213,17 @@ def test_run_and_report_round_trip(tmp_path, mini_config_text, capsys):
     assert summary["name"] == "mini"
     assert main(["report", str(out)]) == 0
     assert (out / "report" / "summary.txt").exists()
+
+
+def test_run_outputs_do_not_depend_on_the_directory(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_bytes(TINY_CONFIG)
+    for name in ("a", "b"):
+        assert main(["run", str(cfg), "--outdir", str(tmp_path / name)]) == 0
+    for name in ("summary.json", "config.cfg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    record = pipeline.run(load_config(cfg), tmp_path / "c")
+    assert json.loads((tmp_path / "a" / "summary.json").read_text())["config_hash"] == record.hash
 
 
 def test_bad_label_list(line_file, capsys):

@@ -15,6 +15,8 @@ from resistive_walk.config import (
     write_csv,
 )
 from resistive_walk.errors import ConfigError
+from resistive_walk.generate import FIXTURE_SIZES
+from resistive_walk.pipeline import build_graph
 
 
 def test_round_trip(mini_config_text):
@@ -28,7 +30,6 @@ def test_defaults_are_applied(mini_config_text):
     config = parse_config(mini_config_text)
     assert config.volume_exponent == 1.0
     assert config.store_graphs is False
-    assert config.outdir == ""
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -99,6 +100,28 @@ def test_model_specific_requirements():
         parse_config("name = x\nmodel = exp\nhalf_width = 8\nrate = 0\n")
     with pytest.raises(ConfigError, match="fixture_name"):
         parse_config("name = x\nmodel = fixture\n")
+
+
+FIXTURE = "name = x\nmodel = fixture\n"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [("fixture_name = nope\n", "unknown fixture 'nope'"),
+     ("fixture_name = cycle\nfixture_size = 2\n", "'cycle' takes a size of at least 3"),
+     ("fixture_name = line\n", "'line' takes a size of at least 2"),
+     ("fixture_name = parallel_pair\nfixture_size = 3\n", "'parallel_pair' takes no size")],
+    ids=["unknown-family", "cycle-too-small", "line-without-size", "parallel-pair-with-size"],
+)
+def test_fixture_rules_are_checked_at_parse(extra, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(FIXTURE + extra)
+
+
+def test_smallest_fixture_sizes_parse():
+    for name, size in FIXTURE_SIZES.items():
+        config = parse_config(FIXTURE + f"fixture_name = {name}\nfixture_size = {size or 0}\n")
+        assert build_graph(config, 0).n_bonds >= 1
 
 
 @pytest.mark.parametrize(

@@ -324,6 +324,22 @@ def test_labels_past_int64_are_refused(line64):
         loads_edge_list(f"# marked=0 window=0,{2**64}\n0 {2**64} 1.0\n")
 
 
+@pytest.mark.parametrize("label", [2**64 - 1, 2**63 + 1])
+def test_unsigned_labels_past_int64_are_refused(label):
+    u = np.array([0, label], dtype=np.uint64)
+    v = np.array([1, 0], dtype=np.uint64)
+    with pytest.raises(InvalidArgumentError, match="64-bit integer"):
+        Graph.from_arrays(u, v, np.ones(2), marked=0)
+
+
+def test_integral_labels_of_any_dtype_are_kept():
+    g = Graph([(0.0, 1.0, 1.0), (1, 2, 1.0)], marked=0)
+    h = Graph.from_arrays(np.array([0, 1], dtype=np.uint64), np.array([1.0, 2.0]), np.ones(2),
+                          marked=0)
+    assert g.labels.dtype == h.labels.dtype == np.int64
+    assert list(g.labels) == list(h.labels) == [0, 1, 2]
+
+
 def test_edge_list_round_trip(lrp128):
     text = dumps_edge_list(lrp128)
     h = loads_edge_list(text)
@@ -482,6 +498,7 @@ def test_gapped_graphs_match_tuple_path(name):
         ([(0, 1, 1.0), (5, 6, 1.0)], {}, "connected"),
         ([(0, 99999999999999999999, 1.0)], {}, "64-bit integer"),
         ([(-99999999999999999999, 0, 1.0)], {}, "64-bit integer"),
+        ([(0.5, 1.7, 1.0), (1.0, 2.0, 1.0)], {}, "labels must be integers"),
     ],
 )
 def test_from_arrays_raises_as_the_tuple_path(bonds, kwargs, message):
