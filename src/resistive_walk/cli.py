@@ -1,12 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 2 for configuration or argument problems,
-3 when a linear solve fails to converge.
+Exit codes: 0 on success, 1 when standard output closes early (a reader
+such as `head` stopped reading), 2 for configuration or argument problems,
+sizes included that cannot be allocated, 3 when a linear solve fails to
+converge.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -216,16 +219,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# how numpy refuses an array whose size it cannot address
+_SIZE_REFUSALS = ("array is too big", "Maximum allowed size exceeded")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_SIZE_REFUSALS):
+            raise
+        print(f"error: cannot allocate the requested size ({exc})", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit fails no more (the SIGPIPE note in Python's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

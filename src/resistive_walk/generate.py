@@ -167,9 +167,10 @@ def generate_exp_tail(params: ExpTailParams) -> Graph:
 # -- deterministic fixtures ------------------------------------------------
 
 
-# Smallest size of each fixture family; parallel_pair takes none.
-FIXTURE_SIZES = {"parallel_pair": None, "path": 1, "cycle": 3, "binary_tree": 1, "ladder": 2,
-                 "line": 2}
+# Smallest and largest size of each fixture family; parallel_pair takes none.
+# The largest hold about 2^24 vertices; binary_tree at 70 would hold 2^71 - 1.
+FIXTURE_SIZES = {"parallel_pair": None, "path": (1, 1 << 24), "cycle": (3, 1 << 24),
+                 "binary_tree": (1, 23), "ladder": (2, 1 << 23), "line": (2, 1 << 23)}
 
 
 def check_fixture(name: str, size: int | None) -> None:
@@ -178,9 +179,14 @@ def check_fixture(name: str, size: int | None) -> None:
         raise InvalidArgumentError(
             f"unknown fixture {name!r}: fixture_name must be one of {', '.join(FIXTURE_SIZES)}"
         )
-    least = FIXTURE_SIZES[name]
-    if (size is None) != (least is None) or (size is not None and size < least):
-        wanted = "no size" if least is None else f"a size of at least {least}"
+    sizes = FIXTURE_SIZES[name]
+    if sizes is None:
+        wanted = None if size is None else "no size"
+    elif size is None or size < sizes[0]:
+        wanted = f"a size of at least {sizes[0]}"
+    else:
+        wanted = f"a size of at most {sizes[1]}" if size > sizes[1] else None
+    if wanted:
         raise InvalidArgumentError(f"fixture {name!r} takes {wanted} (fixture_size), got {size}")
 
 

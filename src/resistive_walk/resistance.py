@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.sparse import diags
+from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 from .errors import InvalidArgumentError, SolverError
@@ -25,6 +26,10 @@ RESIDUAL_TOL = 1e-10
 # columns per residual check, and unit right-hand sides per solve of pair
 # resistances: bounds the temporaries of a blocked solve
 _CHECK_COLUMNS = 8
+# a pointwise target is skipped only when its path bound lies this far (relative)
+# below the best computed ratio: far beyond LU rounding (about 1e-12), so a skipped
+# target can neither be the maximum nor tie it
+_BOUND_MARGIN = 1e-8
 
 
 def _residual(lap, x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -177,13 +182,13 @@ class OriginResistanceCache:
 
     Grounding the marked vertex makes the Laplacian positive definite, and
     the diagonal of its inverse lists the two-point resistances to the
-    ground.  One factorization serves every target, so ball-wide scans
-    cost one triangular solve per vertex.  The unit right-hand sides go
-    through the factor `_CHECK_COLUMNS` (8) at a time, the width of one
-    residual check.  A column's solution does not depend on the columns
-    solved with it.  On a 32k-vertex window an 8-column dense block is
-    2 MB and solved fastest of the widths 1 to 128; a 128-column block is
-    33.5 MB.
+    ground.  One factorization serves every target, and each target costs
+    one triangular solve.  The unit right-hand sides go through the factor
+    `_CHECK_COLUMNS` (8) at a time, the width of one residual check.  A
+    column's solution does not depend on the columns solved with it, so a
+    target's value does not depend on the call it came in.  On a
+    32k-vertex window an 8-column dense block is 2 MB and solved fastest
+    of the widths 1 to 128; a 128-column block is 33.5 MB.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -208,6 +213,19 @@ class OriginResistanceCache:
         return values[targets]
 
 
+def _path_resistance_bound(g: Graph) -> np.ndarray:
+    """Resistance of the shortest path from the marked vertex, per label.
+
+    Bonds are lengths 1/c of the merged adjacency.  By Rayleigh
+    monotonicity (cutting every bond off one path can only raise the
+    resistance) this bounds R_eff(marked, y) from above for any
+    conductances, and it is exact on trees.
+    """
+    lengths = g.adjacency().copy()
+    np.reciprocal(lengths.data, out=lengths.data)
+    return dijkstra(lengths, indices=g.index(g.marked))
+
+
 def max_pointwise_ratios(
     g: Graph,
     radii: Sequence[int],
@@ -219,14 +237,25 @@ def max_pointwise_ratios(
 
     The ratio is max over y != marked with d(marked, y) < R of
     R_eff(marked, y) / r(d(marked, y)) for the growth r (identity when
-    omitted); the witness is the first label, in label order, whose
-    computed ratio is the largest.  Exact ties are not resolved by that
-    order: when both nearest-neighbour bonds of the marked vertex are cut
-    edges, R_eff(marked, +-1) = 1 exactly, yet the two computed values
-    differ by LU rounding (about 1e-13), and the rounding picks the
-    witness.  A ball holding only the marked vertex gives (0.0, None).
-    All pair resistances come from one `pair_resistance` call over the
-    largest ball; no radii give an empty list, and nothing is factored.
+    omitted).  Only targets a shortest-path bound cannot rule out are
+    solved, all through `cache.pair_resistance`:
+
+    - the path resistance ub(y) >= R_eff(marked, y) bounds each ratio;
+    - first the `_CHECK_COLUMNS` (8) targets of highest bound ratio in
+      each ball are solved;
+    - then every target y whose bound ratio ub(y) / r(d) reaches
+      (1 - 1e-8) times the best computed ratio in the smallest ball that
+      holds y.
+
+    A skipped target's ratio lies below that best ratio by far more than
+    LU rounding, so the result is the scan of every ball label: the
+    witness is the first label, in label order, whose computed ratio is
+    the largest.  Exact ties are not resolved by that order: when both
+    nearest-neighbour bonds of the marked vertex are cut edges,
+    R_eff(marked, +-1) = 1 exactly, yet the two computed values differ by
+    LU rounding (about 1e-13), and the rounding picks the witness.  A ball
+    holding only the marked vertex gives (0.0, None); no radii give an
+    empty list, and nothing is factored.
     """
     if len(radii) == 0:
         return []
@@ -239,7 +268,27 @@ def max_pointwise_ratios(
     labels, d = g.labels[sel], dist[sel]
     r_fun = resistance_growth if resistance_growth is not None else float
     denom = np.asarray([r_fun(float(x)) for x in d])
-    ratios = cache.pair_resistance(labels) / denom
+    bound = _path_resistance_bound(g)[sel] / denom
+    # shell[i]: the smallest radius, among the distinct sorted ones, whose ball holds label i
+    steps = np.unique(np.asarray(radii))
+    shell = np.searchsorted(steps, d, side="right")
+    ratios = np.full(labels.size, -np.inf)
+
+    def solve(mask: np.ndarray) -> None:
+        if mask.any():
+            ratios[mask] = cache.pair_resistance(labels[mask]) / denom[mask]
+
+    first = np.zeros(labels.size, dtype=bool)
+    for R in steps:
+        ball = np.flatnonzero(d < R)
+        first[ball[np.argsort(-bound[ball], kind="stable")[:_CHECK_COLUMNS]]] = True
+    solve(first)
+    best = np.full(steps.size, -np.inf)
+    np.maximum.at(best, shell[first], ratios[first])
+    best = np.maximum.accumulate(best)
+    # a NaN bound is never ruled out
+    solve(~first & ~(bound < best[shell] * (1.0 - _BOUND_MARGIN)))
+
     out: list[tuple[float, int | None]] = []
     for R in radii:
         inside = d < R

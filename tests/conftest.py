@@ -75,3 +75,9 @@ def inexact_solves(monkeypatch):
 def late_wrong_solves(monkeypatch):
     """Like `wrong_solves`, but the first two solves with each factor are exact."""
     _scale_solves(monkeypatch, 1.5, exact=2)
+
+
+@pytest.fixture()
+def scaled_solves(monkeypatch):
+    """Call with (scale, exact): after the first `exact` solves with each factor, scale them."""
+    return lambda scale, exact=0: _scale_solves(monkeypatch, scale, exact)

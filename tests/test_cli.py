@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 
@@ -118,6 +120,34 @@ def test_count_and_size_flags_past_int64_exit_2(line_file, capsys, argv):
     captured = capsys.readouterr()
     assert "does not fit in a 64-bit integer" in captured.err
     assert captured.out == ""
+
+
+# fits in int64, but no machine can allocate an array that long
+HUGE = "4611686018427387904"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["heatkernel", "{graph}", "--steps", HUGE],
+     ["walk", "{graph}", "--steps", "4", "--trajectories", HUGE, "--radius", "2"],
+     ["generate", "--model", "lrp", "--half-width", HUGE]],
+    ids=["heatkernel-steps", "walk-trajectories", "generate-half-width"],
+)
+def test_sizes_too_large_to_allocate_exit_2(line_file, capsys, argv):
+    assert main([a.format(graph=line_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "cannot allocate the requested size" in captured.err
+    assert captured.out == ""
+
+
+def test_closed_output_pipe_ends_without_a_traceback(line_file, capsys, monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["heatkernel", str(line_file), "--steps", "256"]) == 1
+        monkeypatch.undo()
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_graph_file_exits_2(tmp_path, capsys):

@@ -119,9 +119,20 @@ def test_fixture_rules_are_checked_at_parse(extra, message):
 
 
 def test_smallest_fixture_sizes_parse():
-    for name, size in FIXTURE_SIZES.items():
-        config = parse_config(FIXTURE + f"fixture_name = {name}\nfixture_size = {size or 0}\n")
+    for name, sizes in FIXTURE_SIZES.items():
+        size = sizes[0] if sizes else 0
+        config = parse_config(FIXTURE + f"fixture_name = {name}\nfixture_size = {size}\n")
         assert build_graph(config, 0).n_bonds >= 1
+
+
+def test_fixture_sizes_past_the_largest_are_refused_at_parse():
+    with pytest.raises(ConfigError, match="'binary_tree' takes a size of at most 23"):
+        parse_config(FIXTURE + "fixture_name = binary_tree\nfixture_size = 70\n")
+    for name, sizes in FIXTURE_SIZES.items():
+        if sizes:
+            parse_config(FIXTURE + f"fixture_name = {name}\nfixture_size = {sizes[1]}\n")
+            with pytest.raises(ConfigError, match=f"{name!r} takes a size of at most"):
+                parse_config(FIXTURE + f"fixture_name = {name}\nfixture_size = {sizes[1] + 1}\n")
 
 
 @pytest.mark.parametrize(

@@ -286,7 +286,9 @@ def test_fixture_checks_its_name_before_its_size(size):
         fixture("nope", size)
 
 
-@pytest.mark.parametrize("name, size", [("cycle", 2), ("ladder", 1), ("line", 1)])
+@pytest.mark.parametrize(
+    "name, size", [("cycle", 2), ("ladder", 1), ("line", 1), ("binary_tree", 70)]
+)
 def test_fixture_rejects_bad_size(name, size):
     with pytest.raises(InvalidArgumentError):
         fixture(name, size)

@@ -3,7 +3,13 @@ import pytest
 
 from resistive_walk import resistance
 from resistive_walk.errors import InvalidArgumentError, SolverError
-from resistive_walk.generate import LongRangeParams, fixture, generate_long_range
+from resistive_walk.generate import (
+    ExpTailParams,
+    LongRangeParams,
+    fixture,
+    generate_exp_tail,
+    generate_long_range,
+)
 from resistive_walk.oracle import dense_green, dense_resistance
 from resistive_walk.resistance import (
     OriginResistanceCache,
@@ -192,6 +198,99 @@ def test_pointwise_ratios_match_dense_oracle(half_width, tail, seed):
         runner_up = np.sort(dense)[-2] if dense.size > 1 else -np.inf
         if runner_up < dense.max() * (1 - 1e-8):
             assert witness == ys[int(np.argmax(dense))]
+
+
+def _full_scan(g, radii, metric, growth):
+    """Every ball label through one `pair_resistance` call, then the first argmax per radius."""
+    dist = g.distances_from(g.marked, metric)
+    sel = (dist < max(radii)) & (g.labels != g.marked)
+    labels, d = g.labels[sel], dist[sel]
+    denom = np.asarray([(growth or float)(float(x)) for x in d])
+    ratios = OriginResistanceCache(g).pair_resistance(labels) / denom
+    out = []
+    for R in radii:
+        k = int(np.argmax(np.where(d < R, ratios, -np.inf)))
+        out.append((ratios[k], int(labels[k])))
+    return out
+
+
+def _lrp(tail, seed):
+    return generate_long_range(LongRangeParams(256, 1.0, tail, seed=seed))
+
+
+def _bounded_cases():
+    radii = [4, 8, 16, 32, 64]
+    for seed in (0, 1, 2):
+        for tail in (2.2, 3.0, 3.5):
+            yield pytest.param(_lrp(tail, seed), radii, "line", None, id=f"lrp-{tail}-{seed}")
+        yield pytest.param(generate_exp_tail(ExpTailParams(256, 1.0, seed=seed)), radii, "line",
+                           None, id=f"exp-{seed}")
+        yield pytest.param(_lrp(3.0, seed), [32, 4, 16, 4], "line", GrowthFunction(0.8, 0.5),
+                           id=f"line-growth-{seed}")
+    yield pytest.param(fixture("binary_tree", 7), [2, 4, 7], "graph", None, id="binary-tree")
+    yield pytest.param(fixture("ladder", 40), [3, 10, 30], "graph", None, id="ladder")
+
+
+@pytest.mark.parametrize("g, radii, metric, growth", _bounded_cases())
+def test_bounded_pointwise_search_matches_the_full_scan(g, radii, metric, growth):
+    got = max_pointwise_ratios(g, radii, metric, growth)
+    want = _full_scan(g, radii, metric, growth)
+    assert np.asarray([r for r, _ in got]).tobytes() == np.asarray([r for r, _ in want]).tobytes()
+    assert [w for _, w in got] == [w for _, w in want]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [generate_long_range(LongRangeParams(64, 1.0, 2.2, seed=4)),
+     generate_long_range(LongRangeParams(64, 1.0, 3.5, seed=5)),
+     generate_exp_tail(ExpTailParams(64, 1.0, seed=6)),
+     fixture("ladder", 12),
+     fixture("binary_tree", 5)],
+    ids=["lrp-2.2", "lrp-3.5", "exp", "ladder", "binary-tree"],
+)
+def test_path_resistance_bounds_the_dense_resistance(g):
+    bound = resistance._path_resistance_bound(g)
+    dense = np.asarray([0.0 if y == g.marked else dense_resistance(g, [g.marked], [y])
+                        for y in g.labels.tolist()])
+    assert np.all(bound >= dense * (1 - 1e-12))
+    if g.n_bonds == g.n_vertices - 1:  # a tree: the only path is the resistance
+        np.testing.assert_allclose(bound, dense, rtol=1e-10, atol=0)
+
+
+def _logged(cache):
+    """Wrap `cache.pair_resistance` to record the number of labels of every call."""
+    calls, solve = [], cache.pair_resistance
+
+    def pair_resistance(labels):
+        calls.append(len(labels))
+        return solve(labels)
+
+    cache.pair_resistance = pair_resistance
+    return cache, calls
+
+
+def test_bounded_pointwise_search_solves_fewer_targets_than_the_ball():
+    g = generate_long_range(LongRangeParams(1024, 1.0, 3.5, seed=20260825))
+    radii = [8, 16, 32, 64, 128, 256]
+    cache, calls = _logged(OriginResistanceCache(g))
+    got = max_pointwise_ratios(g, radii, "line", None, cache)
+    assert got == _full_scan(g, radii, "line", None)
+    ball = int(np.count_nonzero(np.abs(g.labels) < max(radii))) - 1
+    assert sum(calls) < ball
+
+
+def test_wrong_solve_in_the_second_round_raises_solver_error(scaled_solves):
+    g = _lrp(3.0, 1)
+    radii = [8, 16, 32]
+    cache, calls = _logged(OriginResistanceCache(g))
+    max_pointwise_ratios(g, radii, "line", None, cache)
+    assert len(calls) == 2 and calls[1] > 0
+    # the first round's solves are exact, every later one is 50% off
+    scaled_solves(1.5, exact=-(-calls[0] // resistance._CHECK_COLUMNS))
+    cache, calls = _logged(OriginResistanceCache(g))
+    with pytest.raises(SolverError, match="residual"):
+        max_pointwise_ratios(g, radii, "line", None, cache)
+    assert len(calls) == 2
 
 
 def test_wrong_solution_raises_solver_error(wrong_solves, lrp128):
