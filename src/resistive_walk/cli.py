@@ -13,9 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-from .config import MODELS, PRESET_NAMES, format_value, load_config, load_preset, write_csv
+from .config import PRESET_NAMES, format_value, load_config, load_preset, write_csv
 from .errors import ConfigError, InvalidArgumentError, SolverError
-from .generate import ExpTailParams, LongRangeParams, fixture, generate_exp_tail, generate_long_range
+from .generate import MODELS, model_graph
 from .graph import INT64, METRICS, dumps_edge_list, read_edge_list, write_edge_list
 from .pipeline import run as run_pipeline
 from .report import report as build_report
@@ -63,14 +63,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.model == "lrp":
-        g = generate_long_range(
-            LongRangeParams(args.half_width, args.beta, args.tail_exponent, args.seed)
-        )
-    elif args.model == "exp":
-        g = generate_exp_tail(ExpTailParams(args.half_width, args.rate, args.seed))
-    else:
-        g = fixture(args.fixture, args.size)
+    build, _ = model_graph(args.model, args.seed, args.half_width, args.beta,
+                           args.tail_exponent, args.rate, args.fixture, args.size)
+    g = build()
     if args.out:
         write_edge_list(g, args.out)
     else:

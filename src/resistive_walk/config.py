@@ -18,10 +18,8 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
-from .generate import ExpTailParams, LongRangeParams, check_fixture
+from .generate import model_graph
 from .graph import INT64, METRICS
-
-MODELS = ("lrp", "exp", "fixture")
 
 PRESET_NAMES = ("line-sanity", "lrp-s3.0", "lrp-s3.5", "lrp-s2.2", "exp-c1")
 
@@ -155,8 +153,6 @@ def validate_config(config: ExperimentConfig) -> None:
             INT64.min <= v <= INT64.max for v in values
         ):
             raise ConfigError(f"{name} must fit in a 64-bit integer")
-    if config.model not in MODELS:
-        raise ConfigError(f"model must be one of {MODELS}, got {config.model!r}")
     if config.metric not in METRICS:
         raise ConfigError(f"metric must be one of {METRICS}")
     if not config.name:
@@ -167,14 +163,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("n_trajectories must be at least 1")
     if config.master_seed < 0:
         raise ConfigError("master_seed must be nonnegative")
-    # the generators own the model rules; their messages name the config keys
+    # generate owns the model table; its messages name the config keys
     try:
-        if config.model == "lrp":
-            LongRangeParams(config.half_width, config.beta, config.tail_exponent, 0).validate()
-        elif config.model == "exp":
-            ExpTailParams(config.half_width, config.rate, 0).validate()
-        else:
-            check_fixture(config.fixture_name, config.fixture_size or None)
+        _, half_width = config_graph(config)
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
     for grid_name in ("radius_grid", "time_grid", "goodscale_radii",
@@ -196,7 +187,6 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("mc_exit_radii must be a subset of radius_grid")
     if config.mc_exit_radii and not config.time_grid:
         raise ConfigError("mc_exit_radii need a time_grid: the walk runs to its last step")
-    half_width = effective_half_width(config)
     if half_width:
         probe = max(config.radius_grid + config.goodscale_radii, default=0)
         if probe > half_width / 4:
@@ -205,13 +195,10 @@ def validate_config(config: ExperimentConfig) -> None:
             )
 
 
-def effective_half_width(config: ExperimentConfig) -> int:
-    """Window half-width of the generated graphs (0 for untruncated fixtures)."""
-    if config.model in ("lrp", "exp"):
-        return config.half_width
-    if config.model == "fixture" and config.fixture_name == "line":
-        return config.fixture_size
-    return 0
+def config_graph(config: ExperimentConfig, seed: int = 0):
+    """`generate.model_graph` on the config's model keys, with graph seed `seed`."""
+    return model_graph(config.model, seed, config.half_width, config.beta, config.tail_exponent,
+                       config.rate, config.fixture_name, config.fixture_size or None)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -1,4 +1,8 @@
-"""Random line-window generators and deterministic fixtures.
+"""Random line-window generators, deterministic fixtures, and the model table.
+
+`model_graph` is the one place that maps a model name (`MODELS`) to its
+parameter checks, its generator and its window half-width; the config
+checks, the pipeline and the CLI all ask it.
 
 Window graphs live on labels -L..L with every nearest-neighbour bond
 present at conductance 1.  Pairs at distance n >= 2 are bonded
@@ -30,17 +34,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import Graph
+from .graph import INT64, Graph
 
 _MASK64 = (1 << 64) - 1
 
 # Bernoulli probabilities are capped at 1 - 2^-32.
 PROBABILITY_CAP = 1.0 - 2.0 ** -32
+
+# The widest window whose 2L + 1 int64 labels fit in one addressable array.
+MAX_HALF_WIDTH = (INT64.max // 8 - 1) // 2
 
 # Distances per array binomial call in `_generate_window`.
 _MIN_BLOCK = 16
@@ -58,6 +66,18 @@ def mix_seed(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _check_window(half_width: int, seed: int) -> None:
+    """The checks every window shares.  A window past `MAX_HALF_WIDTH` is refused
+    before any array is made: near 2^62 numpy's `arange` comes back empty."""
+    if half_width < 2:
+        raise InvalidArgumentError("half_width must be at least 2")
+    if half_width > MAX_HALF_WIDTH:
+        raise MemoryError(f"a window of half_width {half_width} holds more labels "
+                          f"than one 64-bit array can address")
+    if not 0 <= seed <= _MASK64:
+        raise InvalidArgumentError("seed must be an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -82,14 +102,11 @@ class LongRangeParams:
         return np.minimum(self.beta * power, PROBABILITY_CAP)
 
     def validate(self) -> None:
-        if self.half_width < 2:
-            raise InvalidArgumentError("half_width must be at least 2")
+        _check_window(self.half_width, self.seed)
         if not self.beta >= 0:
             raise InvalidArgumentError("beta must be nonnegative")
         if not self.tail_exponent > 2:
             raise InvalidArgumentError("tail exponent (tail_exponent) must exceed 2")
-        if not 0 <= self.seed <= _MASK64:
-            raise InvalidArgumentError("seed must be an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -111,12 +128,9 @@ class ExpTailParams:
         return np.minimum(np.exp(-self.rate * n), PROBABILITY_CAP)
 
     def validate(self) -> None:
-        if self.half_width < 2:
-            raise InvalidArgumentError("half_width must be at least 2")
+        _check_window(self.half_width, self.seed)
         if not self.rate > 0:
             raise InvalidArgumentError("rate must be positive")
-        if not 0 <= self.seed <= _MASK64:
-            raise InvalidArgumentError("seed must be an unsigned 64-bit integer")
 
 
 def _generate_window(params: LongRangeParams | ExpTailParams) -> Graph:
@@ -216,3 +230,28 @@ def fixture(name: str, size: int | None = None) -> Graph:
         u = np.concatenate([np.arange(0, 2 * size, 2), rails])
         v = np.concatenate([np.arange(1, 2 * size, 2), rails + 2])
     return Graph.from_arrays(u, v, np.ones(len(u)), marked=0, truncated=name == "line")
+
+
+# -- the model table --------------------------------------------------------
+
+
+MODELS = ("lrp", "exp", "fixture")
+
+
+def model_graph(model: str, seed: int, half_width: int, beta: float, tail_exponent: float,
+                rate: float, fixture_name: str, fixture_size: int | None) -> tuple[partial, int]:
+    """Check one model's parameters; return the call that builds its graph and the
+    graph's window half-width, 0 for a fixture that is not a window.  A window
+    reads the seed, half-width and its tail; a fixture its name and size."""
+    if model == "lrp":
+        params = LongRangeParams(half_width, beta, tail_exponent, seed)
+    elif model == "exp":
+        params = ExpTailParams(half_width, rate, seed)
+    elif model == "fixture":
+        check_fixture(fixture_name, fixture_size)
+        window = fixture_size if fixture_name == "line" else 0
+        return partial(fixture, fixture_name, fixture_size), window
+    else:
+        raise InvalidArgumentError(f"model must be one of {MODELS}, got {model!r}")
+    params.validate()
+    return partial(_generate_window, params), half_width

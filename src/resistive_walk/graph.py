@@ -276,6 +276,11 @@ class Graph:
                 f"{self.half_width()}"
             )
 
+    def check_ball_has_outside(self, center: int, radius: int, metric: str = "graph") -> None:
+        """Refuse a ball around `center` that covers the whole graph."""
+        if not (self.distances_from(center, metric) >= radius).any():
+            raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
+
     # -- perturbation ------------------------------------------------------
 
     def with_bond(self, u: int, v: int, conductance: float = 1.0) -> "Graph":

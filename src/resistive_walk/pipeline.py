@@ -21,20 +21,14 @@ import numpy as np
 from . import __version__
 from .config import (
     ExperimentConfig,
+    config_graph,
     config_hash,
     serialize_config,
     validate_config,
     write_csv,
 )
 from .errors import ConfigError, InvalidArgumentError
-from .generate import (
-    ExpTailParams,
-    LongRangeParams,
-    fixture,
-    generate_exp_tail,
-    generate_long_range,
-    mix_seed,
-)
+from .generate import mix_seed
 from .graph import Graph, dumps_edge_list
 from .resistance import (
     OriginResistanceCache,
@@ -67,14 +61,7 @@ def walk_seed(master_seed: int, index: int) -> int:
 
 def build_graph(config: ExperimentConfig, index: int) -> Graph:
     """Deterministically build ensemble member `index`."""
-    seed = graph_seed(config.master_seed, index)
-    if config.model == "lrp":
-        return generate_long_range(
-            LongRangeParams(config.half_width, config.beta, config.tail_exponent, seed)
-        )
-    if config.model == "exp":
-        return generate_exp_tail(ExpTailParams(config.half_width, config.rate, seed))
-    return fixture(config.fixture_name, config.fixture_size or None)
+    return config_graph(config, graph_seed(config.master_seed, index))[0]()
 
 
 def growth_functions(config: ExperimentConfig) -> tuple[GrowthFunction, GrowthFunction]:
@@ -109,6 +96,8 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
 
     # a loop of its own, not scale_observables: perfbench wraps the solver names here
     radii = ball_radii(config)
+    for R in radii:
+        g.check_ball_has_outside(origin, R, metric)
     volumes = np.array([g.volume(origin, R, metric) for R in radii])
     complement = np.array(
         [effective_resistance(g, [origin], g.labels[dist >= R]) for R in radii]

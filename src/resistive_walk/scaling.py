@@ -136,9 +136,8 @@ def scale_observables(
     dist = g.distances_from(g.marked, metric)
     observables = []
     for R in radii:
+        g.check_ball_has_outside(g.marked, R, metric)
         outside = g.labels[dist >= R]
-        if outside.size == 0:
-            raise InvalidArgumentError(f"ball of radius {R} covers the whole graph")
         volume = g.volume(g.marked, R, metric)
         observables.append((R, volume, effective_resistance(g, [g.marked], outside)))
     ratios = max_pointwise_ratios(g, radii, metric, resistance_growth)

@@ -166,8 +166,7 @@ def mean_exit_time_exact(g: Graph, origin: int, radius: int, metric: str = "grap
     """E[exit time from the ball of `radius`] via the killed Green row."""
     g.check_probe_radius(radius)
     ball = g.ball(origin, radius, metric)
-    if ball.size == g.n_vertices:
-        raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
+    g.check_ball_has_outside(origin, radius, metric)
     row = green_row(g, ball, origin)
     return float(row.values @ g.measure[g.indices(row.domain)])
 

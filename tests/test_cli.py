@@ -7,7 +7,14 @@ import pytest
 from resistive_walk import pipeline
 from resistive_walk.cli import main
 from resistive_walk.config import load_config
-from resistive_walk.graph import read_edge_list
+from resistive_walk.generate import (
+    ExpTailParams,
+    LongRangeParams,
+    fixture,
+    generate_exp_tail,
+    generate_long_range,
+)
+from resistive_walk.graph import dumps_edge_list, read_edge_list
 
 # past the int64 range: 2**64 < BIG < 2**67
 BIG = "99999999999999999999"
@@ -35,6 +42,21 @@ def test_generate_to_stdout(capsys):
                  "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# marked=0 window=-8,8 truncated=1")
+
+
+@pytest.mark.parametrize(
+    "argv, direct",
+    [(["--model", "lrp", "--half-width", "64", "--beta", "2.0", "--tail-exponent", "3.0",
+       "--seed", "11"], lambda: generate_long_range(LongRangeParams(64, 2.0, 3.0, 11))),
+     (["--model", "exp", "--half-width", "64", "--rate", "0.5", "--seed", "11"],
+      lambda: generate_exp_tail(ExpTailParams(64, 0.5, 11))),
+     (["--model", "fixture", "--fixture", "ladder", "--size", "5"],
+      lambda: fixture("ladder", 5))],
+    ids=["lrp", "exp", "fixture"],
+)
+def test_generate_prints_the_library_graph(capsys, argv, direct):
+    assert main(["generate", *argv]) == 0
+    assert capsys.readouterr().out == dumps_edge_list(direct())
 
 
 def test_resistance_command(line_file, capsys):
@@ -130,14 +152,28 @@ HUGE = "4611686018427387904"
     "argv",
     [["heatkernel", "{graph}", "--steps", HUGE],
      ["walk", "{graph}", "--steps", "4", "--trajectories", HUGE, "--radius", "2"],
-     ["generate", "--model", "lrp", "--half-width", HUGE]],
-    ids=["heatkernel-steps", "walk-trajectories", "generate-half-width"],
+     ["generate", "--model", "lrp", "--half-width", HUGE],
+     ["generate", "--model", "lrp", "--half-width", str(2**62 + 1)],
+     ["generate", "--model", "exp", "--half-width", HUGE],
+     ["generate", "--model", "exp", "--half-width", str(2**62 - 1)]],
+    ids=["heatkernel-steps", "walk-trajectories", "generate-half-width",
+         "generate-lrp-past-2^62", "generate-exp-2^62", "generate-exp-below-2^62"],
 )
 def test_sizes_too_large_to_allocate_exit_2(line_file, capsys, argv):
     assert main([a.format(graph=line_file) for a in argv]) == 2
     captured = capsys.readouterr()
     assert "cannot allocate the requested size" in captured.err
     assert captured.out == ""
+
+
+def test_run_with_a_window_too_large_to_allocate_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"name = x\nmodel = lrp\nhalf_width = {2**62 + 1}\n")
+    assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "cannot allocate the requested size" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_closed_output_pipe_ends_without_a_traceback(line_file, capsys, monkeypatch):

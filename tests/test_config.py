@@ -102,6 +102,12 @@ def test_model_specific_requirements():
         parse_config("name = x\nmodel = fixture\n")
 
 
+def test_unknown_model_is_refused_by_name():
+    with pytest.raises(ConfigError, match=r"model must be one of \('lrp', 'exp', 'fixture'\), "
+                       r"got 'torus'"):
+        parse_config("name = x\nmodel = torus\n")
+
+
 FIXTURE = "name = x\nmodel = fixture\n"
 
 

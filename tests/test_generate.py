@@ -4,6 +4,7 @@ import pytest
 from resistive_walk import generate
 from resistive_walk.errors import InvalidArgumentError
 from resistive_walk.generate import (
+    MAX_HALF_WIDTH,
     PROBABILITY_CAP,
     ExpTailParams,
     LongRangeParams,
@@ -42,6 +43,16 @@ def test_mix_seed_differs_across_masters():
 def test_parameter_validation(params, message):
     with pytest.raises(InvalidArgumentError, match=message):
         params.validate()
+
+
+@pytest.mark.parametrize("half_width", [MAX_HALF_WIDTH + 1, 2**62 - 1, 2**62 + 1])
+@pytest.mark.parametrize("window", [
+    lambda L: LongRangeParams(L, 1.0, 3.5, 0), lambda L: ExpTailParams(L, 1.0, 0)
+], ids=["lrp", "exp"])
+def test_windows_past_the_addressable_size_are_refused(window, half_width):
+    window(MAX_HALF_WIDTH).validate()
+    with pytest.raises(MemoryError, match=f"half_width {half_width} "):
+        generate._generate_window(window(half_width))
 
 
 def test_long_range_probability():

@@ -7,8 +7,15 @@ from scipy.sparse import csr_matrix
 
 from resistive_walk import pipeline
 from resistive_walk.config import parse_config, with_overrides
-from resistive_walk.errors import ConfigError
-from resistive_walk.generate import mix_seed
+from resistive_walk.errors import ConfigError, InvalidArgumentError
+from resistive_walk.generate import (
+    ExpTailParams,
+    LongRangeParams,
+    fixture,
+    generate_exp_tail,
+    generate_long_range,
+    mix_seed,
+)
 from resistive_walk.graph import dumps_edge_list, read_edge_list
 from resistive_walk.pipeline import (
     WORKERS_ENV,
@@ -22,6 +29,7 @@ from resistive_walk.pipeline import (
 )
 from resistive_walk.resistance import effective_resistance
 from resistive_walk.scaling import evaluate_good_scale, scale_observables
+from resistive_walk.walk import mean_exit_time_exact
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,34 @@ def test_build_graph_is_deterministic(mini_config):
     assert list(a.bonds()) == list(b.bonds())
     c = build_graph(mini_config, 3)
     assert list(a.bonds()) != list(c.bonds())
+
+
+@pytest.mark.parametrize(
+    "model, direct",
+    [("model = lrp\nhalf_width = 64\nbeta = 2.0\ntail_exponent = 3.0\n",
+      lambda seed: generate_long_range(LongRangeParams(64, 2.0, 3.0, seed))),
+     ("model = exp\nhalf_width = 64\nrate = 0.5\n",
+      lambda seed: generate_exp_tail(ExpTailParams(64, 0.5, seed))),
+     ("model = fixture\nfixture_name = line\nfixture_size = 64\n",
+      lambda seed: fixture("line", 64))],
+    ids=["lrp", "exp", "fixture-line"],
+)
+def test_build_graph_is_the_generator_at_the_graph_seed(model, direct):
+    config = parse_config(f"name = x\nmaster_seed = 7\n{model}")
+    for index in (0, 3):
+        expected = dumps_edge_list(direct(graph_seed(7, index)))
+        assert dumps_edge_list(build_graph(config, index)) == expected
+
+
+def test_balls_that_cover_a_fixture_are_refused_by_every_caller():
+    config = parse_config("name = x\nmodel = fixture\nfixture_name = path\nfixture_size = 4\n"
+                          "metric = graph\nradius_grid = 8\n")
+    g = build_graph(config, 0)
+    for call in (lambda: member_observables(config, 0),
+                 lambda: scale_observables(g, [8], metric="graph"),
+                 lambda: mean_exit_time_exact(g, g.marked, 8, metric="graph")):
+        with pytest.raises(InvalidArgumentError, match="ball of radius 8 covers the whole graph"):
+            call()
 
 
 def test_member_observables_are_reproducible(mini_config):
