@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .config import PRESET_NAMES, format_value, load_config, load_preset, write_csv
 from .errors import ConfigError, InvalidArgumentError, SolverError
@@ -43,9 +42,8 @@ def _int64(text: str) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    path = Path(args.config)
-    if path.exists():
-        config = load_config(path)
+    if os.path.exists(args.config):
+        config = load_config(args.config)
     elif args.config in PRESET_NAMES:
         config = load_preset(args.config)
     else:

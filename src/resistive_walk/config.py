@@ -187,6 +187,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("mc_exit_radii must be a subset of radius_grid")
     if config.mc_exit_radii and not config.time_grid:
         raise ConfigError("mc_exit_radii need a time_grid: the walk runs to its last step")
+    if config.goodscale_radii and len(config.tolerance_grid) < 2:
+        raise ConfigError("goodscale_radii need at least two tolerance_grid entries: "
+                          "the failure decay is fitted over them")
     if half_width:
         probe = max(config.radius_grid + config.goodscale_radii, default=0)
         if probe > half_width / 4:

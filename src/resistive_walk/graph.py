@@ -300,13 +300,24 @@ class Graph:
         )
 
 
-# -- edge-list serialization ---------------------------------------------
+# -- files ------------------------------------------------------------------
+
+
+def write_files(files: dict[str | os.PathLike, str]) -> None:
+    """Write each text to its path as UTF-8 with `\\n` line ends, parents created; a
+    path that cannot be written raises InvalidArgumentError naming it."""
+    for path, text in files.items():
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot write {path}: {exc}") from exc
 
 
 def write_edge_list(g: Graph, path: str | os.PathLike) -> None:
     """Write `u v conductance` lines under a one-line header."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(dumps_edge_list(g))
+    write_files({path: dumps_edge_list(g)})
 
 
 def dumps_edge_list(g: Graph) -> str:

@@ -8,6 +8,7 @@ mix_seed(master_seed, 2i) and its walks from mix_seed(master_seed, 2i+1).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
@@ -29,7 +30,7 @@ from .config import (
 )
 from .errors import ConfigError, InvalidArgumentError
 from .generate import mix_seed
-from .graph import Graph, dumps_edge_list
+from .graph import Graph, dumps_edge_list, write_files
 from .resistance import (
     OriginResistanceCache,
     effective_resistance,
@@ -340,7 +341,7 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
             },
         }
 
-    if times and config.theta_grid:
+    if radii and times and config.theta_grid:
         displacements = np.vstack([res["disp_matrix"] for res in results])
         thetas = sorted(set(config.theta_grid) | {config.theta_star})
         summary["tightness"] = {
@@ -376,7 +377,7 @@ def run(
     outdir: str | os.PathLike | None = None,
     workers: int | None = None,
 ) -> RunRecord:
-    """Execute the configured experiment and persist all outputs."""
+    """Execute the configured experiment, render every output file, then write them all."""
     validate_config(config)
     started = time.time()
     if outdir is None or str(Path(outdir)) == ".":
@@ -389,12 +390,13 @@ def run(
             raise ConfigError(f"bad {WORKERS_ENV} value") from exc
     if workers < 1:
         raise ConfigError("worker count must be positive")
-    # refuse an output path under a file before any member runs
+    # refuse an output path under a file before any member runs; a name the
+    # system cannot stat (too long, say) counts as absent and fails at the write
     out_dirs = [target / "observables"]
     if config.store_graphs:
         out_dirs.append(target / "graphs")
     for path in out_dirs:
-        existing = next(p for p in (path, *path.parents) if p.exists())
+        existing = next(p for p in (path, *path.parents) if os.path.exists(p))
         if not existing.is_dir():
             raise ConfigError(f"output path {existing} is not a directory")
 
@@ -405,25 +407,19 @@ def run(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(partial(member_observables, config), indices))
 
-    obs_dir = target / "observables"
-    obs_dir.mkdir(parents=True, exist_ok=True)
-    for name, header, member_rows in OBSERVABLE_FILES:
-        rows = ((res["index"], *row) for res in results for row in member_rows(config, res))
-        with open(obs_dir / name, "w", newline="\n") as fh:
-            write_csv(fh, header, rows)
     summary = build_summary(config, results)
-
+    files = {}
+    for name, header, member_rows in OBSERVABLE_FILES:
+        text = io.StringIO()
+        write_csv(text, header,
+                  ((res["index"], *row) for res in results for row in member_rows(config, res)))
+        files[target / "observables" / name] = text.getvalue()
     if config.store_graphs:
-        graph_dir = target / "graphs"
-        graph_dir.mkdir(exist_ok=True)
         for res in results:
-            path = graph_dir / f"graph_{res['index']:04d}.edges"
-            path.write_text(res["edge_list"], newline="\n")
-
-    (target / "config.cfg").write_text(serialize_config(config))
-    with open(target / "summary.json", "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            files[target / "graphs" / f"graph_{res['index']:04d}.edges"] = res["edge_list"]
+    files[target / "config.cfg"] = serialize_config(config)
+    files[target / "summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    write_files(files)
     wallclock = time.time() - started
     record = {
         "config_hash": summary["config_hash"],
@@ -432,9 +428,7 @@ def run(
         "wallclock_seconds": wallclock,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
     }
-    with open(target / "record.json", "w", newline="\n") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_files({target / "record.json": json.dumps(record, indent=2, sort_keys=True) + "\n"})
     return RunRecord(
         path=target,
         config=config,

@@ -11,6 +11,7 @@ import os
 from pathlib import Path
 
 from .errors import InvalidArgumentError
+from .graph import write_files
 
 
 # top-level summary fields that `report` reads, with their JSON types
@@ -132,7 +133,7 @@ def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) 
     anything is written; an output path that cannot be written raises it too."""
     run_dir = Path(run_dir)
     summary_path = run_dir / "summary.json"
-    if not summary_path.exists():
+    if not os.path.exists(summary_path):
         raise InvalidArgumentError(f"no summary.json under {run_dir}")
     try:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
@@ -154,10 +155,5 @@ def report(run_dir: str | os.PathLike, outdir: str | os.PathLike | None = None) 
         ) from exc
 
     target = Path(outdir) if outdir is not None else run_dir / "report"
-    try:
-        target.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
-            (target / name).write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot write the report to {target}: {exc}") from exc
+    write_files({target / name: text for name, text in files.items()})
     return target

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import resistive_walk
 from resistive_walk import pipeline
 from resistive_walk.cli import main
 from resistive_walk.config import load_config
@@ -35,6 +38,13 @@ def test_generate_writes_readable_graph(line_file):
     g = read_edge_list(line_file)
     assert g.n_vertices == 33
     assert g.truncated
+
+
+def test_generate_creates_the_output_directory(tmp_path):
+    path = tmp_path / "new" / "dir" / "line.edges"
+    assert main(["generate", "--model", "fixture", "--fixture", "line", "--size", "16",
+                 "--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == dumps_edge_list(fixture("line", 16))
 
 
 def test_generate_to_stdout(capsys):
@@ -241,13 +251,16 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
      (["run", "big.cfg", "--outdir", "out"],
       {"big.cfg": f"name = x\nmodel = lrp\nhalf_width = {BIG}\n".encode()}),
      (["run", "tiny.cfg"], {"tiny.cfg": TINY_CONFIG}),
-     (["run", "old.cfg", "--outdir", "out"], {"old.cfg": TINY_CONFIG + b"outdir = x\n"})],
+     (["run", "old.cfg", "--outdir", "out"], {"old.cfg": TINY_CONFIG + b"outdir = x\n"}),
+     (["report", "z" * 300], {}),
+     (["run", "z" * 300 + ".cfg", "--outdir", "out"], {})],
     ids=["report-not-json", "report-empty-object", "report-hash-not-string",
          "report-series-not-object", "report-series-lacks-field", "report-value-overflows",
          "report-columns-differ-in-length", "report-nested-too-deep",
          "run-directory", "run-config-not-utf8", "report-outdir-is-a-file",
          "run-outdir-is-a-file", "run-outdir-under-a-file", "run-half-width-past-int64",
-         "run-without-outdir", "run-config-sets-outdir"],
+         "run-without-outdir", "run-config-sets-outdir", "report-rundir-name-too-long",
+         "run-config-name-too-long"],
 )
 def test_unreadable_run_input_exits_2(tmp_path, capsys, monkeypatch, argv, files):
     def no_member(config, index):
@@ -262,6 +275,38 @@ def test_unreadable_run_input_exits_2(tmp_path, capsys, monkeypatch, argv, files
     assert "error:" in capsys.readouterr().err
     # nothing created, nothing overwritten
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("command", ["run", "generate", "report"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    (tmp_path / "tiny.cfg").write_bytes(TINY_CONFIG)
+    assert main(["run", str(tmp_path / "tiny.cfg"), "--outdir", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    # a file name past the system's limit of 255 bytes
+    out = str(tmp_path / ("x" * 300))
+    argv = {"run": ["run", str(tmp_path / "tiny.cfg"), "--outdir", out],
+            "generate": ["generate", "--model", "fixture", "--fixture", "line", "--size", "16",
+                         "--out", out],
+            "report": ["report", str(tmp_path / "run"), "--outdir", out]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {out}" in captured.err
+    assert captured.out == ""
+
+
+def test_non_ascii_config_runs_under_an_ascii_locale(tmp_path):
+    cfg = tmp_path / "cafe.cfg"
+    cfg.write_bytes(TINY_CONFIG.replace(b"name = tiny", "name = café".encode()))
+    source = str(Path(resistive_walk.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "resistive_walk.cli", "run", str(cfg),
+         "--outdir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert load_config(tmp_path / "out" / "config.cfg").name == "café"
 
 
 def test_unknown_config_exits_2(capsys):

@@ -81,6 +81,10 @@ BASE = "name = x\nmodel = lrp\nhalf_width = 64\ntail_exponent = 3.5\n"
         ("theta_star = nan\n", "theta_star must be finite"),
         ("radius_grid = 4,8\nmc_exit_radii = 4,16\n", "subset"),
         ("radius_grid = 4,8\nmc_exit_radii = 4\n", "need a time_grid"),
+        ("goodscale_radii = 8\ntolerance_grid = 2\n",
+         "goodscale_radii need at least two tolerance_grid entries"),
+        ("goodscale_radii = 8\ntolerance_grid =\n",
+         "goodscale_radii need at least two tolerance_grid entries"),
         ("radius_grid = 4,32\n", "quarter"),
         ("time_grid = 8,100000000000000000000\n", "time_grid must fit in a 64-bit integer"),
         ("n_trajectories = 99999999999999999999\n", "n_trajectories must fit in a 64-bit"),

@@ -178,6 +178,24 @@ def test_run_writes_expected_files(mini_run):
     }
 
 
+def test_run_without_radius_grid_skips_the_tightness_table(tmp_path):
+    config = parse_config("name = x\nmodel = lrp\nhalf_width = 128\ntime_grid = 8,16\n"
+                          "n_trajectories = 8\n")
+    record = run(config, tmp_path / "no-radii")
+    assert "tightness" not in record.summary
+    assert len(record.summary["series"]["kernel"]["mean"]) == 2
+
+
+def test_a_run_whose_summary_fails_writes_nothing(mini_config, tmp_path, monkeypatch):
+    def fail(config, results):
+        raise InvalidArgumentError("no summary")
+
+    monkeypatch.setattr(pipeline, "build_summary", fail)
+    with pytest.raises(InvalidArgumentError, match="no summary"):
+        run(with_overrides(mini_config, ensemble=1), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_without_goodscale_radii_writes_header_only_files(mini_config, tmp_path):
     config = with_overrides(mini_config, goodscale_radii=(), ensemble=2)
     record = run(config, tmp_path / "no-goodscale")
