@@ -1,5 +1,8 @@
 """Resistance profiles, heat kernels, and random walks on sparse random graphs."""
 
+# bound before the imports: pipeline reads it
+__version__ = "0.1.0"
+
 from .config import ExperimentConfig, load_config, load_preset, parse_config
 from .errors import ConfigError, InvalidArgumentError, SolverError, TruncationError
 from .generate import (
@@ -11,6 +14,7 @@ from .generate import (
     mix_seed,
 )
 from .graph import Graph, dumps_edge_list, loads_edge_list, read_edge_list, write_edge_list
+from .pipeline import check_good_scale, scale_observables
 from .resistance import (
     OriginResistanceCache,
     dirichlet_potential,
@@ -19,17 +23,8 @@ from .resistance import (
     project_long_bonds,
     projected_complement_resistance,
 )
-from .scaling import (
-    GrowthFunction,
-    check_good_scale,
-    displacement_scale,
-    evaluate_good_scale,
-    fit_spectral_dimension,
-    scale_observables,
-)
+from .scaling import GrowthFunction, displacement_scale, evaluate_good_scale, fit_spectral_dimension
 from .walk import heat_kernel_exact, mean_exit_time_exact, simulate
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",

@@ -16,10 +16,11 @@ from .config import PRESET_NAMES, format_value, load_config, load_preset, write_
 from .errors import ConfigError, InvalidArgumentError, SolverError
 from .generate import MODELS, model_graph
 from .graph import INT64, METRICS, dumps_edge_list, read_edge_list, write_edge_list
+from .pipeline import check_good_scale, scale_observables
 from .pipeline import run as run_pipeline
 from .report import report as build_report
 from .resistance import effective_resistance
-from .scaling import GrowthFunction, check_good_scale, scale_observables
+from .scaling import GrowthFunction
 from .walk import heat_kernel_exact, simulate
 
 

@@ -1,4 +1,8 @@
-"""Run ensemble experiments described by an ExperimentConfig.
+"""Measure graphs and run ensemble experiments described by an ExperimentConfig.
+
+`ball_observables` measures the balls about the marked vertex; the graph
+measurements `scale_observables` and `check_good_scale` and the ensemble
+member `member_observables` all go through it.
 
 Each ensemble member is generated, measured, and reduced independently;
 the reduction orders results by member index, so outputs are identical
@@ -12,10 +16,10 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .resistance import (
     max_pointwise_ratios,
 )
 from .scaling import (
+    GoodScaleReport,
     GrowthFunction,
     ScaleObservables,
     bootstrap_mean_ci,
@@ -77,6 +82,59 @@ def ball_radii(config: ExperimentConfig) -> list[int]:
     return sorted(set(config.radius_grid) | set(config.goodscale_radii))
 
 
+# in pipeline, not scaling: perfbench wraps the solver names that this module looks up
+def ball_observables(g: Graph, radii: Sequence[int], metric: str) -> tuple[np.ndarray, ...]:
+    """Per radius: the volume of the ball about the marked vertex, and the resistance to
+    its complement, which must hold some vertex."""
+    dist = g.distances_from(g.marked, metric)
+    for R in radii:
+        g.check_ball_has_outside(g.marked, R, metric)
+    volumes = np.array([g.volume(g.marked, R, metric) for R in radii])
+    complement = np.array(
+        [effective_resistance(g, [g.marked], g.labels[dist >= R]) for R in radii]
+    )
+    return volumes, complement
+
+
+def scale_observables(
+    g: Graph,
+    radii: Sequence[int],
+    metric: str = "line",
+    resistance_growth: GrowthFunction | None = None,
+) -> list[ScaleObservables]:
+    """Measure the three clause quantities at each radius.
+
+    Radii come back sorted, duplicates kept.  Each must be positive, pass
+    `check_probe_radius` and leave some vertex outside its ball.  The
+    pointwise ratios of every radius come from one `max_pointwise_ratios`
+    call, so one factorization serves them all.
+    """
+    radii = sorted(int(R) for R in radii)
+    if not radii or radii[0] < 1:
+        raise InvalidArgumentError("radii must be positive integers")
+    for R in radii:
+        g.check_probe_radius(R)
+    volumes, complement = ball_observables(g, radii, metric)
+    ratios = max_pointwise_ratios(g, radii, metric, resistance_growth, OriginResistanceCache(g))
+    return [
+        ScaleObservables(R, volume, reff, *pair)
+        for R, volume, reff, pair in zip(radii, volumes.tolist(), complement.tolist(), ratios)
+    ]
+
+
+def check_good_scale(
+    g: Graph,
+    radius: int,
+    tolerance: float,
+    volume_growth: GrowthFunction,
+    resistance_growth: GrowthFunction,
+    metric: str = "line",
+) -> GoodScaleReport:
+    """Full three-clause membership test for one (radius, tolerance) pair."""
+    obs = scale_observables(g, [radius], metric, resistance_growth)[0]
+    return evaluate_good_scale(obs, tolerance, volume_growth, resistance_growth)
+
+
 def member_observables(config: ExperimentConfig, index: int) -> dict:
     """All per-graph observables for one ensemble member, and its graph as text if stored.
 
@@ -92,17 +150,10 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
     g = build_graph(config, index)
     origin = g.marked
     metric = config.metric
-    dist = g.distances_from(origin, metric)
     volume_growth, resistance_growth = growth_functions(config)
 
-    # a loop of its own, not scale_observables: perfbench wraps the solver names here
     radii = ball_radii(config)
-    for R in radii:
-        g.check_ball_has_outside(origin, R, metric)
-    volumes = np.array([g.volume(origin, R, metric) for R in radii])
-    complement = np.array(
-        [effective_resistance(g, [origin], g.labels[dist >= R]) for R in radii]
-    )
+    volumes, complement = ball_observables(g, radii, metric)
 
     pointwise: list[tuple[float, int | None]] = []
     if config.goodscale_radii:
@@ -217,22 +268,6 @@ OBSERVABLE_FILES = (
     ("goodscale.csv", "graph,R,lambda,member,volume_ok,resistance_ok,pointwise_ok",
      _goodscale_rows),
 )
-
-
-def _as_builtin(obj):
-    if isinstance(obj, dict):
-        return {str(k): _as_builtin(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_as_builtin(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_as_builtin(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -369,7 +404,7 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
                 }
             )
         summary["mc_exit"] = table
-    return _as_builtin(summary)
+    return json.loads(json.dumps(summary, default=lambda o: o.tolist()))
 
 
 def run(
@@ -377,7 +412,10 @@ def run(
     outdir: str | os.PathLike | None = None,
     workers: int | None = None,
 ) -> RunRecord:
-    """Execute the configured experiment, render every output file, then write them all."""
+    """Execute the configured experiment, render every output file, then write them all.
+
+    The output directory must be new or empty; it is checked before any member runs.
+    """
     validate_config(config)
     started = time.time()
     if outdir is None or str(Path(outdir)) == ".":
@@ -390,20 +428,27 @@ def run(
             raise ConfigError(f"bad {WORKERS_ENV} value") from exc
     if workers < 1:
         raise ConfigError("worker count must be positive")
-    # refuse an output path under a file before any member runs; a name the
-    # system cannot stat (too long, say) counts as absent and fails at the write
-    out_dirs = [target / "observables"]
-    if config.store_graphs:
-        out_dirs.append(target / "graphs")
-    for path in out_dirs:
-        existing = next(p for p in (path, *path.parents) if os.path.exists(p))
-        if not existing.is_dir():
-            raise ConfigError(f"output path {existing} is not a directory")
+    # refuse the output path before any member runs, creating nothing; a name
+    # the system cannot stat (too long, say) counts as absent
+    existing = next(p for p in (target, *target.parents) if os.path.exists(p))
+    if not existing.is_dir():
+        raise ConfigError(f"output path {existing} is not a directory")
+    try:
+        used = existing == target and any(target.iterdir())
+        name_max = os.pathconf(existing, "PC_NAME_MAX")
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {target}: {exc}") from exc
+    if used:
+        raise ConfigError(f"output directory {target} is not empty")
+    if any(len(os.fsencode(name)) > name_max for name in target.relative_to(existing).parts):
+        raise InvalidArgumentError(f"cannot write {target}: a name exceeds {name_max} bytes")
 
     indices = range(config.ensemble)
     if workers == 1:
         results = [member_observables(config, i) for i in indices]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(partial(member_observables, config), indices))
 

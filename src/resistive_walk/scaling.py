@@ -1,4 +1,7 @@
-"""Growth functions, scale membership, and scaling-exponent fits.
+"""Growth functions, good-scale evaluation, exponent fits and ensemble statistics.
+
+Only arithmetic on measured numbers lives here; `pipeline` measures the
+graphs (`scale_observables`, `check_good_scale`).
 
 A growth function is R^exponent times a power of log(e+R), normalized to
 1 at R = 1.  A radius R is a good scale at tolerance lam when the ball
@@ -17,8 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import Graph
-from .resistance import effective_resistance, max_pointwise_ratios
 
 
 def _log_lever_max() -> float:
@@ -115,38 +116,6 @@ class ScaleObservables:
     witness: int | None
 
 
-def scale_observables(
-    g: Graph,
-    radii: Sequence[int],
-    metric: str = "line",
-    resistance_growth: GrowthFunction | None = None,
-) -> list[ScaleObservables]:
-    """Measure the three clause quantities at each radius.
-
-    Radii come back sorted, duplicates kept.  Each must be positive, pass
-    `check_probe_radius` and leave some vertex outside its ball.  The
-    pointwise ratios of every radius come from one `max_pointwise_ratios`
-    call, so one factorization serves them all.
-    """
-    radii = sorted(int(R) for R in radii)
-    if not radii or radii[0] < 1:
-        raise InvalidArgumentError("radii must be positive integers")
-    for R in radii:
-        g.check_probe_radius(R)
-    dist = g.distances_from(g.marked, metric)
-    observables = []
-    for R in radii:
-        g.check_ball_has_outside(g.marked, R, metric)
-        outside = g.labels[dist >= R]
-        volume = g.volume(g.marked, R, metric)
-        observables.append((R, volume, effective_resistance(g, [g.marked], outside)))
-    ratios = max_pointwise_ratios(g, radii, metric, resistance_growth)
-    return [
-        ScaleObservables(R, volume, reff, ratio, witness)
-        for (R, volume, reff), (ratio, witness) in zip(observables, ratios)
-    ]
-
-
 @dataclass(frozen=True)
 class GoodScaleReport:
     radius: int
@@ -179,19 +148,6 @@ def evaluate_good_scale(
         pointwise_ok=obs.max_pointwise_ratio <= tolerance,
         observables=obs,
     )
-
-
-def check_good_scale(
-    g: Graph,
-    radius: int,
-    tolerance: float,
-    volume_growth: GrowthFunction,
-    resistance_growth: GrowthFunction,
-    metric: str = "line",
-) -> GoodScaleReport:
-    """Full three-clause membership test for one (radius, tolerance) pair."""
-    obs = scale_observables(g, [radius], metric, resistance_growth)[0]
-    return evaluate_good_scale(obs, tolerance, volume_growth, resistance_growth)
 
 
 # -- log-log fits -------------------------------------------------------------

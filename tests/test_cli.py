@@ -253,14 +253,16 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, content):
      (["run", "tiny.cfg"], {"tiny.cfg": TINY_CONFIG}),
      (["run", "old.cfg", "--outdir", "out"], {"old.cfg": TINY_CONFIG + b"outdir = x\n"}),
      (["report", "z" * 300], {}),
-     (["run", "z" * 300 + ".cfg", "--outdir", "out"], {})],
+     (["run", "z" * 300 + ".cfg", "--outdir", "out"], {}),
+     (["run", "tiny.cfg", "--outdir", "z" * 300], {"tiny.cfg": TINY_CONFIG}),
+     (["run", "tiny.cfg", "--outdir", "."], {"tiny.cfg": TINY_CONFIG})],
     ids=["report-not-json", "report-empty-object", "report-hash-not-string",
          "report-series-not-object", "report-series-lacks-field", "report-value-overflows",
          "report-columns-differ-in-length", "report-nested-too-deep",
          "run-directory", "run-config-not-utf8", "report-outdir-is-a-file",
          "run-outdir-is-a-file", "run-outdir-under-a-file", "run-half-width-past-int64",
          "run-without-outdir", "run-config-sets-outdir", "report-rundir-name-too-long",
-         "run-config-name-too-long"],
+         "run-config-name-too-long", "run-outdir-name-too-long", "run-outdir-not-empty"],
 )
 def test_unreadable_run_input_exits_2(tmp_path, capsys, monkeypatch, argv, files):
     def no_member(config, index):
@@ -329,6 +331,8 @@ def test_run_and_report_round_trip(tmp_path, mini_config_text, capsys):
 def test_run_outputs_do_not_depend_on_the_directory(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_bytes(TINY_CONFIG)
+    # "a" is created by the run, "b" exists and is empty
+    (tmp_path / "b").mkdir()
     for name in ("a", "b"):
         assert main(["run", str(cfg), "--outdir", str(tmp_path / name)]) == 0
     for name in ("summary.json", "config.cfg"):

@@ -25,10 +25,11 @@ from resistive_walk.pipeline import (
     growth_functions,
     member_observables,
     run,
+    scale_observables,
     walk_seed,
 )
 from resistive_walk.resistance import effective_resistance
-from resistive_walk.scaling import evaluate_good_scale, scale_observables
+from resistive_walk.scaling import evaluate_good_scale
 from resistive_walk.walk import mean_exit_time_exact
 
 
@@ -141,7 +142,7 @@ def test_member_complement_matches_direct_solve(mini_config):
 
 
 def test_scale_observables_match_member_observables(mini_config):
-    # the library's ball routine and the pipeline's own loop agree bit for bit
+    # the library's ball routine and the ensemble member agree bit for bit
     res = member_observables(mini_config, 0)
     g = build_graph(mini_config, 0)
     volume_growth, resistance_growth = growth_functions(mini_config)
@@ -165,6 +166,31 @@ def test_scale_observables_match_member_observables(mini_config):
         assert res["goodscale"][i].tolist() == [
             [rep.volume_ok, rep.resistance_ok, rep.pointwise_ok] for rep in reports
         ]
+
+
+def test_ball_solves_go_through_the_pipeline_names(mini_config, monkeypatch):
+    # every complement solve and pointwise factor is a call of these two names on
+    # pipeline, so that a wrapper set there sees them all
+    calls = {"complement": 0, "factor": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "effective_resistance",
+                        counted("complement", pipeline.effective_resistance))
+    monkeypatch.setattr(pipeline, "OriginResistanceCache",
+                        counted("factor", pipeline.OriginResistanceCache))
+    member_observables(mini_config, 0)
+    n_balls = len(ball_radii(mini_config))
+    assert calls == {"complement": n_balls, "factor": 1}
+    g = build_graph(mini_config, 0)
+    scale_observables(g, [8, 2, 4, 4])
+    assert calls == {"complement": n_balls + 4, "factor": 2}
+    pipeline.check_good_scale(g, 4, 2.0, *growth_functions(mini_config))
+    assert calls == {"complement": n_balls + 5, "factor": 3}
 
 
 def test_run_writes_expected_files(mini_run):

@@ -11,6 +11,7 @@ from resistive_walk.generate import (
     generate_long_range,
 )
 from resistive_walk.oracle import dense_green, dense_resistance
+from resistive_walk.pipeline import scale_observables
 from resistive_walk.resistance import (
     OriginResistanceCache,
     ProjectedLine,
@@ -21,7 +22,7 @@ from resistive_walk.resistance import (
     project_long_bonds,
     projected_complement_resistance,
 )
-from resistive_walk.scaling import GrowthFunction, scale_observables
+from resistive_walk.scaling import GrowthFunction
 
 FIXTURES = [
     ("path", 3),

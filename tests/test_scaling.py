@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from resistive_walk.errors import InvalidArgumentError
 from resistive_walk.generate import fixture
+from resistive_walk.pipeline import check_good_scale
 from resistive_walk.scaling import (
     _H_MAX,
     GrowthFunction,
     ScaleObservables,
     bootstrap_mean_ci,
-    check_good_scale,
     displacement_scale,
     evaluate_good_scale,
     failure_decay_fit,
