@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
 from .generate import model_graph
-from .graph import INT64, METRICS
+from .graph import INT64, METRICS, check_quarter_width
 
 PRESET_NAMES = ("line-sanity", "lrp-s3.0", "lrp-s3.5", "lrp-s2.2", "exp-c1")
 
@@ -148,19 +148,20 @@ def validate_config(config: ExperimentConfig) -> None:
         values = value if isinstance(value, tuple) else (value,)
         if hint in (float, tuple[float, ...]) and not all(map(math.isfinite, values)):
             raise ConfigError(f"{name} must be finite")
+        if hint not in (int, tuple[int, ...]):
+            continue
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+            raise ConfigError(f"{name} takes integers only")
         # sizes and grids become array lengths and entries; seeds may be any size
-        if hint in (int, tuple[int, ...]) and name != "master_seed" and not all(
-            INT64.min <= v <= INT64.max for v in values
-        ):
+        if name != "master_seed" and not all(INT64.min <= v <= INT64.max for v in values):
             raise ConfigError(f"{name} must fit in a 64-bit integer")
     if config.metric not in METRICS:
         raise ConfigError(f"metric must be one of {METRICS}")
     if not config.name:
         raise ConfigError("name must be nonempty")
-    if config.ensemble < 1:
-        raise ConfigError("ensemble must be at least 1")
-    if config.n_trajectories < 1:
-        raise ConfigError("n_trajectories must be at least 1")
+    for key in ("ensemble", "n_trajectories", "theta_star"):
+        if getattr(config, key) < 1:
+            raise ConfigError(f"{key} must be at least 1")
     if config.master_seed < 0:
         raise ConfigError("master_seed must be nonnegative")
     # generate owns the model table; its messages name the config keys
@@ -173,16 +174,10 @@ def validate_config(config: ExperimentConfig) -> None:
         grid = getattr(config, grid_name)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError(f"{grid_name} must be strictly increasing")
-        if grid and grid[0] <= 0:
-            raise ConfigError(f"{grid_name} entries must be positive")
+        if grid and grid[0] < 1:
+            raise ConfigError(f"{grid_name} entries must be at least 1")
     if any(t % 2 for t in config.time_grid):
         raise ConfigError("time_grid entries must be even (kernel series alignment)")
-    if any(t < 1 for t in config.tolerance_grid):
-        raise ConfigError("tolerance_grid entries must be at least 1")
-    if any(t < 1 for t in config.theta_grid):
-        raise ConfigError("theta_grid entries must be at least 1")
-    if config.theta_star < 1:
-        raise ConfigError("theta_star must be at least 1")
     if set(config.mc_exit_radii) - set(config.radius_grid):
         raise ConfigError("mc_exit_radii must be a subset of radius_grid")
     if config.mc_exit_radii and not config.time_grid:
@@ -192,10 +187,7 @@ def validate_config(config: ExperimentConfig) -> None:
                           "the failure decay is fitted over them")
     if half_width:
         probe = max(config.radius_grid + config.goodscale_radii, default=0)
-        if probe > half_width / 4:
-            raise ConfigError(
-                f"largest probe radius {probe} exceeds a quarter of half_width {half_width}"
-            )
+        check_quarter_width(probe, half_width, "largest probe radius", ConfigError)
 
 
 def config_graph(config: ExperimentConfig, seed: int = 0):

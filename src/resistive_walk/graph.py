@@ -29,6 +29,22 @@ METRICS = ("graph", "line")
 INT64 = np.iinfo(np.int64)
 
 
+def check_radius(radius) -> int:
+    """A ball radius as an int; anything but a finite positive integer value is refused."""
+    try:
+        if radius >= 1 and int(radius) == radius:
+            return int(radius)
+    except (OverflowError, TypeError, ValueError):  # int() of inf, or not a number
+        pass
+    raise InvalidArgumentError(f"radius must be a positive integer, got {radius}")
+
+
+def check_quarter_width(radius, half_width: int, subject="radius", error=TruncationError) -> None:
+    """Refuse a probe radius beyond a quarter of a window half-width."""
+    if radius > half_width / 4:
+        raise error(f"{subject} {radius} exceeds a quarter of the window half-width {half_width}")
+
+
 def _check_metric(metric: str) -> str:
     if metric not in METRICS:
         raise InvalidArgumentError(f"unknown metric {metric!r}, expected one of {METRICS}")
@@ -247,17 +263,13 @@ class Graph:
 
     def ball(self, center: int, radius: int, metric: str = "graph") -> np.ndarray:
         """Labels of vertices at distance strictly less than `radius`."""
-        if radius < 1 or int(radius) != radius:
-            raise InvalidArgumentError("radius must be a positive integer")
-        d = self.distances_from(center, metric)
-        return self.labels[d < radius]
+        radius = check_radius(radius)
+        return self.labels[self.distances_from(center, metric) < radius]
 
     def volume(self, center: int, radius: int, metric: str = "graph") -> float:
         """Measure of the ball around `center`."""
-        d = self.distances_from(center, metric)
-        if radius < 1 or int(radius) != radius:
-            raise InvalidArgumentError("radius must be a positive integer")
-        return float(self.measure[d < radius].sum())
+        radius = check_radius(radius)
+        return float(self.measure[self.distances_from(center, metric) < radius].sum())
 
     @property
     def window(self) -> tuple[int, int]:
@@ -270,11 +282,8 @@ class Graph:
 
     def check_probe_radius(self, radius: int) -> None:
         """Refuse radii beyond a quarter of the window for truncated graphs."""
-        if self.truncated and radius > self.half_width() / 4:
-            raise TruncationError(
-                f"radius {radius} exceeds a quarter of the window half-width "
-                f"{self.half_width()}"
-            )
+        if self.truncated:
+            check_quarter_width(radius, self.half_width())
 
     def check_ball_has_outside(self, center: int, radius: int, metric: str = "graph") -> None:
         """Refuse a ball around `center` that covers the whole graph."""

@@ -34,7 +34,7 @@ from .config import (
 )
 from .errors import ConfigError, InvalidArgumentError
 from .generate import mix_seed
-from .graph import Graph, dumps_edge_list, write_files
+from .graph import Graph, check_radius, dumps_edge_list, write_files
 from .resistance import (
     OriginResistanceCache,
     effective_resistance,
@@ -104,18 +104,18 @@ def scale_observables(
 ) -> list[ScaleObservables]:
     """Measure the three clause quantities at each radius.
 
-    Radii come back sorted, duplicates kept.  Each must be positive, pass
-    `check_probe_radius` and leave some vertex outside its ball.  The
-    pointwise ratios of every radius come from one `max_pointwise_ratios`
-    call, so one factorization serves them all.
+    Radii come back sorted, duplicates kept; at least one is needed, and each
+    must pass `check_radius` and `check_probe_radius` and leave some vertex
+    outside its ball.  One `max_pointwise_ratios` call gives every pointwise
+    ratio; it factors once, and only when some ball holds a target.
     """
-    radii = sorted(int(R) for R in radii)
-    if not radii or radii[0] < 1:
-        raise InvalidArgumentError("radii must be positive integers")
+    radii = sorted(map(check_radius, radii))
+    if not radii:
+        raise InvalidArgumentError("at least one radius is needed")
     for R in radii:
         g.check_probe_radius(R)
     volumes, complement = ball_observables(g, radii, metric)
-    ratios = max_pointwise_ratios(g, radii, metric, resistance_growth, OriginResistanceCache(g))
+    ratios = max_pointwise_ratios(g, radii, metric, resistance_growth, OriginResistanceCache)
     return [
         ScaleObservables(R, volume, reff, *pair)
         for R, volume, reff, pair in zip(radii, volumes.tolist(), complement.tolist(), ratios)
@@ -155,11 +155,9 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
     radii = ball_radii(config)
     volumes, complement = ball_observables(g, radii, metric)
 
-    pointwise: list[tuple[float, int | None]] = []
-    if config.goodscale_radii:
-        pointwise = max_pointwise_ratios(
-            g, config.goodscale_radii, metric, resistance_growth, OriginResistanceCache(g)
-        )
+    pointwise = max_pointwise_ratios(
+        g, config.goodscale_radii, metric, resistance_growth, OriginResistanceCache
+    )
     flags = []
     at = np.searchsorted(radii, config.goodscale_radii)
     for R, k, pair in zip(config.goodscale_radii, at, pointwise):

@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 from .errors import InvalidArgumentError, SolverError
-from .graph import Graph
+from .graph import Graph, check_radius
 
 RESIDUAL_TOL = 1e-10
 # columns per residual check, and unit right-hand sides per solve of pair
@@ -231,14 +231,15 @@ def max_pointwise_ratios(
     radii: Sequence[int],
     metric: str = "line",
     resistance_growth: Callable[[float], float] | None = None,
-    cache: OriginResistanceCache | None = None,
+    factor: Callable[[Graph], OriginResistanceCache] = OriginResistanceCache,
 ) -> list[tuple[float, int | None]]:
     """Per radius R: the worst pointwise ratio in the ball and its witness.
 
     The ratio is max over y != marked with d(marked, y) < R of
     R_eff(marked, y) / r(d(marked, y)) for the growth r (identity when
-    omitted).  Only targets a shortest-path bound cannot rule out are
-    solved, all through `cache.pair_resistance`:
+    omitted).  Each radius must pass `check_radius`.  Only targets a
+    shortest-path bound cannot rule out are solved, all through the
+    `pair_resistance` of one `factor(g)`:
 
     - the path resistance ub(y) >= R_eff(marked, y) bounds each ratio;
     - first the `_CHECK_COLUMNS` (8) targets of highest bound ratio in
@@ -254,17 +255,17 @@ def max_pointwise_ratios(
     nearest-neighbour bonds of the marked vertex are cut edges,
     R_eff(marked, +-1) = 1 exactly, yet the two computed values differ by
     LU rounding (about 1e-13), and the rounding picks the witness.  A ball
-    holding only the marked vertex gives (0.0, None); no radii give an
-    empty list, and nothing is factored.
+    holding only the marked vertex gives (0.0, None), and no radii give an
+    empty list; nothing is factored unless a ball holds a target.
     """
-    if len(radii) == 0:
+    radii = [check_radius(R) for R in radii]
+    if not radii:
         return []
     dist = g.distances_from(g.marked, metric)
     sel = (dist < max(radii)) & (g.labels != g.marked)
     if not sel.any():
         return [(0.0, None) for _ in radii]
-    if cache is None:
-        cache = OriginResistanceCache(g)
+    cache = factor(g)
     labels, d = g.labels[sel], dist[sel]
     r_fun = resistance_growth if resistance_growth is not None else float
     denom = np.asarray([r_fun(float(x)) for x in d])

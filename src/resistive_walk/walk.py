@@ -26,7 +26,7 @@ from scipy.sparse import diags
 
 from .errors import InvalidArgumentError, SolverError
 from .generate import mix_seed
-from .graph import Graph
+from .graph import Graph, check_radius
 from .resistance import green_row
 
 CONTAMINATION_LEVEL = 1e-3
@@ -239,9 +239,7 @@ def simulate(
     """
     if n_steps < 1 or n_trajectories < 1:
         raise InvalidArgumentError("n_steps and n_trajectories must be positive")
-    radii_arr = np.asarray(sorted(int(R) for R in radii), dtype=np.int64)
-    if np.any(radii_arr < 1):
-        raise InvalidArgumentError("radii must be positive")
+    radii_arr = np.asarray(sorted(map(check_radius, radii)), dtype=np.int64)
     if time_grid is None:
         grid = np.asarray([n_steps], dtype=np.int64)
     else:

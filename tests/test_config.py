@@ -88,6 +88,8 @@ BASE = "name = x\nmodel = lrp\nhalf_width = 64\ntail_exponent = 3.5\n"
         ("radius_grid = 4,32\n", "quarter"),
         ("time_grid = 8,100000000000000000000\n", "time_grid must fit in a 64-bit integer"),
         ("n_trajectories = 99999999999999999999\n", "n_trajectories must fit in a 64-bit"),
+        ("radius_grid = 0,4\n", "radius_grid entries must be at least 1"),
+        ("n_trajectories = 0\n", "n_trajectories must be at least 1"),
     ],
 )
 def test_validation_failures(extra, message):
@@ -177,8 +179,15 @@ def test_with_overrides_revalidates(mini_config_text):
     config = parse_config(mini_config_text)
     bigger = with_overrides(config, ensemble=9)
     assert bigger.ensemble == 9
+    assert with_overrides(config, ensemble=np.int64(3)).ensemble == 3
     with pytest.raises(ConfigError):
         with_overrides(config, ensemble=0)
+    # an integer key takes integers, never floats or booleans, however they compare
+    for key, value in [("ensemble", 2.0), ("half_width", 512.0), ("n_trajectories", 8.0),
+                       ("ensemble", True), ("time_grid", (8.0, 16)), ("goodscale_radii", (2.5, 8)),
+                       ("radius_grid", (2, np.float64(4.0))), ("mc_exit_radii", (False,))]:
+        with pytest.raises(ConfigError, match=f"^{key} takes integers only$"):
+            with_overrides(config, **{key: value})
 
 
 def test_hash_tracks_content(mini_config_text):

@@ -287,6 +287,11 @@ def test_ball_grows_with_radius(radius):
 def test_ball_radius_must_be_positive(line64):
     with pytest.raises(InvalidArgumentError, match="radius"):
         line64.ball(0, 0, metric="line")
+    for radius in (-1, 2.5, float("inf"), float("nan")):
+        with pytest.raises(InvalidArgumentError, match="radius must be a positive integer"):
+            line64.ball(0, radius, metric="line")
+        with pytest.raises(InvalidArgumentError, match="radius must be a positive integer"):
+            line64.volume(0, radius, metric="line")
 
 
 def test_probe_radius_guard(line64):

@@ -191,6 +191,12 @@ def test_ball_solves_go_through_the_pipeline_names(mini_config, monkeypatch):
     assert calls == {"complement": n_balls + 4, "factor": 2}
     pipeline.check_good_scale(g, 4, 2.0, *growth_functions(mini_config))
     assert calls == {"complement": n_balls + 5, "factor": 3}
+    # a radius-1 ball holds no target, so nothing is factored
+    scale_observables(g, [1])
+    pipeline.check_good_scale(g, 1, 2.0, *growth_functions(mini_config))
+    member_observables(with_overrides(mini_config, goodscale_radii=(1,), radius_grid=(),
+                                      time_grid=(), mc_exit_radii=()), 0)
+    assert calls == {"complement": n_balls + 8, "factor": 3}
 
 
 def test_run_writes_expected_files(mini_run):

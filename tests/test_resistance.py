@@ -11,7 +11,7 @@ from resistive_walk.generate import (
     generate_long_range,
 )
 from resistive_walk.oracle import dense_green, dense_resistance
-from resistive_walk.pipeline import scale_observables
+from resistive_walk.pipeline import check_good_scale, scale_observables
 from resistive_walk.resistance import (
     OriginResistanceCache,
     ProjectedLine,
@@ -179,6 +179,12 @@ def test_pointwise_ratios_of_no_radii_factor_nothing(monkeypatch, lrp128):
     assert max_pointwise_ratios(lrp128, []) == []
 
 
+@pytest.mark.parametrize("radius", [2.5, 0, float("inf"), float("nan")])
+def test_pointwise_ratios_refuse_a_radius_that_is_not_a_positive_integer(lrp128, radius):
+    with pytest.raises(InvalidArgumentError, match="radius must be a positive integer"):
+        max_pointwise_ratios(lrp128, [4, radius])
+
+
 @pytest.mark.parametrize("half_width, tail, seed", [(24, 2.2, 1), (48, 3.0, 2), (99, 3.5, 3)])
 def test_pointwise_ratios_match_dense_oracle(half_width, tail, seed):
     g = generate_long_range(LongRangeParams(half_width, 1.0, tail, seed=seed))
@@ -274,7 +280,7 @@ def test_bounded_pointwise_search_solves_fewer_targets_than_the_ball():
     g = generate_long_range(LongRangeParams(1024, 1.0, 3.5, seed=20260825))
     radii = [8, 16, 32, 64, 128, 256]
     cache, calls = _logged(OriginResistanceCache(g))
-    got = max_pointwise_ratios(g, radii, "line", None, cache)
+    got = max_pointwise_ratios(g, radii, "line", None, lambda _: cache)
     assert got == _full_scan(g, radii, "line", None)
     ball = int(np.count_nonzero(np.abs(g.labels) < max(radii))) - 1
     assert sum(calls) < ball
@@ -284,13 +290,13 @@ def test_wrong_solve_in_the_second_round_raises_solver_error(scaled_solves):
     g = _lrp(3.0, 1)
     radii = [8, 16, 32]
     cache, calls = _logged(OriginResistanceCache(g))
-    max_pointwise_ratios(g, radii, "line", None, cache)
+    max_pointwise_ratios(g, radii, "line", None, lambda _: cache)
     assert len(calls) == 2 and calls[1] > 0
     # the first round's solves are exact, every later one is 50% off
     scaled_solves(1.5, exact=-(-calls[0] // resistance._CHECK_COLUMNS))
     cache, calls = _logged(OriginResistanceCache(g))
     with pytest.raises(SolverError, match="residual"):
-        max_pointwise_ratios(g, radii, "line", None, cache)
+        max_pointwise_ratios(g, radii, "line", None, lambda _: cache)
     assert len(calls) == 2
 
 
@@ -336,8 +342,13 @@ def test_profile_complement_resistances(line64):
 
 
 def test_profile_rejects_nonpositive_radii(line64):
-    with pytest.raises(InvalidArgumentError):
-        scale_observables(line64, [0, 2], metric="line")
+    for radii in ([0, 2], [2.5], [float("inf")], []):
+        with pytest.raises(InvalidArgumentError):
+            scale_observables(line64, radii, metric="line")
+    growth = GrowthFunction(1.0)
+    for radius in (0, 2.5, float("inf")):
+        with pytest.raises(InvalidArgumentError, match="radius must be a positive integer"):
+            check_good_scale(line64, radius, 2.0, growth, growth, metric="line")
 
 
 def test_projection_reproduces_shorted_chord():
@@ -356,6 +367,27 @@ def test_projection_is_a_lower_bound():
             outside = g.labels[np.abs(g.labels) >= radius].tolist()
             exact = effective_resistance(g, [0], outside)
             assert projected_complement_resistance(g, radius) <= exact + 1e-10
+
+
+def test_pair_resistances_lie_between_the_projection_and_the_path_bound():
+    # cutting and shorting bound R_eff(0, y) below, the shortest path above, and no
+    # solve enters either; the windows are far above the dense oracle's size
+    attained = 0
+    for seed in (0, 1):
+        windows = [generate_long_range(LongRangeParams(2048, 1.0, s, seed=seed))
+                   for s in (2.2, 3.0, 3.5)]
+        windows.append(generate_exp_tail(ExpTailParams(2048, 1.0, seed=seed)))
+        for g in windows:
+            ys = np.asarray([y for y in range(-200, 201) if y])
+            solved = OriginResistanceCache(g).pair_resistance(ys)
+            sides = {side: project_long_bonds(g, side) for side in (1, -1)}
+            lower = np.asarray([sides[1 if y > 0 else -1].resistance(abs(y)) for y in ys.tolist()])
+            upper = resistance._path_resistance_bound(g)[g.indices(ys)]
+            assert np.all(lower <= solved * (1 + 1e-10))
+            assert np.all(solved <= upper * (1 + 1e-10))
+            attained += int(np.count_nonzero(upper - lower <= 1e-10 * solved))
+    # pure nearest-neighbour stretches: both bounds are the distance itself
+    assert attained > 0
 
 
 def test_projection_requires_line_labels():

@@ -349,7 +349,8 @@ def test_simulation_validates_arguments(line64):
         simulate(line64, 0, 0, 4, seed=0)
     with pytest.raises(InvalidArgumentError):
         simulate(line64, 0, 8, 0, seed=0)
-    with pytest.raises(InvalidArgumentError):
-        simulate(line64, 0, 8, 4, seed=0, radii=(0,))
+    for bad in (0, 2.5, float("inf")):
+        with pytest.raises(InvalidArgumentError):
+            simulate(line64, 0, 8, 4, seed=0, radii=(bad,))
     with pytest.raises(InvalidArgumentError):
         simulate(line64, 0, 8, 4, seed=0, time_grid=(9,))
