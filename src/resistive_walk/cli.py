@@ -122,16 +122,8 @@ def _cmd_walk(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
     if args.steps % 2:
         raise InvalidArgumentError("step count must be even")
-    stats = simulate(
-        g,
-        g.marked,
-        args.steps,
-        args.trajectories,
-        args.seed,
-        radii=(args.radius,),
-        time_grid=(args.steps,),
-        metric=args.metric,
-    )
+    stats = simulate(g, g.marked, args.steps, args.trajectories, args.seed,
+                     radii=(args.radius,), time_grid=(args.steps,), metric=args.metric)
     write_csv(sys.stdout,
               "trajectory,exit_time,censored,displacement,max_displacement,range_weight,range_size",
               zip(range(args.trajectories), stats.exit_time[:, 0], stats.censored[:, 0],

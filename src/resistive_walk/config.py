@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
 from .generate import model_graph
-from .graph import INT64, METRICS, check_quarter_width
+from .graph import INT64, METRICS, check_quarter_distance
 
 PRESET_NAMES = ("line-sanity", "lrp-s3.0", "lrp-s3.5", "lrp-s2.2", "exp-c1")
 
@@ -187,7 +187,7 @@ def validate_config(config: ExperimentConfig) -> None:
                           "the failure decay is fitted over them")
     if half_width:
         probe = max(config.radius_grid + config.goodscale_radii, default=0)
-        check_quarter_width(probe, half_width, "largest probe radius", ConfigError)
+        check_quarter_distance(probe, half_width, "the window half-width", ConfigError)
 
 
 def config_graph(config: ExperimentConfig, seed: int = 0):

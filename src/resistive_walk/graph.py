@@ -39,10 +39,10 @@ def check_radius(radius) -> int:
     raise InvalidArgumentError(f"radius must be a positive integer, got {radius}")
 
 
-def check_quarter_width(radius, half_width: int, subject="radius", error=TruncationError) -> None:
-    """Refuse a probe radius beyond a quarter of a window half-width."""
-    if radius > half_width / 4:
-        raise error(f"{subject} {radius} exceeds a quarter of the window half-width {half_width}")
+def check_quarter_distance(radius, distance: int, of: str, error=TruncationError) -> None:
+    """Refuse a probe radius beyond a quarter of `distance`, the distance that `of` names."""
+    if radius > distance / 4:
+        raise error(f"probe radius {radius} exceeds a quarter of {of}, {distance}")
 
 
 def _check_metric(metric: str) -> str:
@@ -62,9 +62,9 @@ class Graph:
     marked : int
         Distinguished origin vertex; must appear in some bond.
     truncated : bool
-        True for windows cut out of an infinite graph; probe radii are then
-        restricted to a quarter of the window half-width, and the walk's
-        contact with the window edge is tracked.
+        True for windows cut out of an infinite graph; `check_ball` then
+        refuses balls the window may cut, and the walk's contact with the
+        window edge is tracked.
 
     `window` is (labels[0], labels[-1]), the lowest and highest label: a
     truncated graph's edge vertices are exactly its two end labels.
@@ -277,18 +277,23 @@ class Graph:
         return int(self.labels[0]), int(self.labels[-1])
 
     def half_width(self) -> int:
+        """Line distance from the marked vertex to the nearer window end."""
         lo, hi = self.window
         return int(min(self.marked - lo, hi - self.marked))
 
-    def check_probe_radius(self, radius: int) -> None:
-        """Refuse radii beyond a quarter of the window for truncated graphs."""
-        if self.truncated:
-            check_quarter_width(radius, self.half_width())
-
-    def check_ball_has_outside(self, center: int, radius: int, metric: str = "graph") -> None:
-        """Refuse a ball around `center` that covers the whole graph."""
-        if not (self.distances_from(center, metric) >= radius).any():
+    def check_ball(self, center: int, radius, metric: str = "graph") -> int:
+        """The radius, as an int, of a ball about `center` that can be measured: it
+        passes `check_radius`, leaves some vertex outside, and on a truncated graph
+        reaches at most a quarter of the distance, in the ball's metric, from `center`
+        to the nearer window end (the lowest or highest label)."""
+        radius = check_radius(radius)
+        dist = self.distances_from(center, metric)
+        if not (dist >= radius).any():
             raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
+        if self.truncated:
+            check_quarter_distance(radius, int(min(dist[0], dist[-1])), f"the {metric}-metric "
+                                   f"distance from {center} to the nearer window end")
+        return radius
 
     # -- perturbation ------------------------------------------------------
 

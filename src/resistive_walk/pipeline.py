@@ -45,6 +45,7 @@ from .scaling import (
     GrowthFunction,
     ScaleObservables,
     bootstrap_mean_ci,
+    check_tolerance,
     displacement_scale,
     evaluate_good_scale,
     failure_decay_fit,
@@ -85,10 +86,10 @@ def ball_radii(config: ExperimentConfig) -> list[int]:
 # in pipeline, not scaling: perfbench wraps the solver names that this module looks up
 def ball_observables(g: Graph, radii: Sequence[int], metric: str) -> tuple[np.ndarray, ...]:
     """Per radius: the volume of the ball about the marked vertex, and the resistance to
-    its complement, which must hold some vertex."""
+    its complement; every radius must pass `Graph.check_ball` first."""
     dist = g.distances_from(g.marked, metric)
     for R in radii:
-        g.check_ball_has_outside(g.marked, R, metric)
+        g.check_ball(g.marked, R, metric)
     volumes = np.array([g.volume(g.marked, R, metric) for R in radii])
     complement = np.array(
         [effective_resistance(g, [g.marked], g.labels[dist >= R]) for R in radii]
@@ -105,15 +106,12 @@ def scale_observables(
     """Measure the three clause quantities at each radius.
 
     Radii come back sorted, duplicates kept; at least one is needed, and each
-    must pass `check_radius` and `check_probe_radius` and leave some vertex
-    outside its ball.  One `max_pointwise_ratios` call gives every pointwise
-    ratio; it factors once, and only when some ball holds a target.
+    must pass `Graph.check_ball`.  One `max_pointwise_ratios` call gives every
+    pointwise ratio; it factors once, and only when some ball holds a target.
     """
     radii = sorted(map(check_radius, radii))
     if not radii:
         raise InvalidArgumentError("at least one radius is needed")
-    for R in radii:
-        g.check_probe_radius(R)
     volumes, complement = ball_observables(g, radii, metric)
     ratios = max_pointwise_ratios(g, radii, metric, resistance_growth, OriginResistanceCache)
     return [
@@ -130,7 +128,9 @@ def check_good_scale(
     resistance_growth: GrowthFunction,
     metric: str = "line",
 ) -> GoodScaleReport:
-    """Full three-clause membership test for one (radius, tolerance) pair."""
+    """Full three-clause membership test for one (radius, tolerance) pair; the
+    tolerance is checked before any ball is measured."""
+    check_tolerance(tolerance)
     obs = scale_observables(g, [radius], metric, resistance_growth)[0]
     return evaluate_good_scale(obs, tolerance, volume_growth, resistance_growth)
 
@@ -187,16 +187,9 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
             ]
         )
         contaminated_from = table.contaminated_from
-        stats = simulate(
-            g,
-            origin,
-            max(config.time_grid),
-            config.n_trajectories,
-            walk_seed(config.master_seed, index),
-            radii=config.mc_exit_radii,
-            time_grid=config.time_grid,
-            metric=metric,
-        )
+        stats = simulate(g, origin, max(config.time_grid), config.n_trajectories,
+                         walk_seed(config.master_seed, index), radii=config.mc_exit_radii,
+                         time_grid=config.time_grid, metric=metric)
         walk = np.array(
             [
                 (

@@ -23,8 +23,8 @@ from .errors import InvalidArgumentError, SolverError
 from .graph import Graph, check_radius
 
 RESIDUAL_TOL = 1e-10
-# columns per residual check, and unit right-hand sides per solve of pair
-# resistances: bounds the temporaries of a blocked solve
+# unit right-hand sides per solve of pair resistances, so columns per residual
+# check: bounds the temporaries of a blocked solve
 _CHECK_COLUMNS = 8
 # a pointwise target is skipped only when its path bound lies this far (relative)
 # below the best computed ratio: far beyond LU rounding (about 1e-12), so a skipped
@@ -48,7 +48,9 @@ def _grounded_solver(
 
     The solve takes a right-hand side vector or column block and returns
     the solution, its largest relative residual and the number of solves
-    with the factor: 2 if a column block needed the refinement step, else 1.
+    with the factor: 2 if the refinement step was needed, else 1.  It checks
+    all it solved with one residual; callers keep blocks narrow
+    (`pair_resistance` passes at most `_CHECK_COLUMNS` columns).
     """
     lap = (diags(g.measure[free]) - g.adjacency()[free][:, free]).tocsc()
     try:
@@ -58,21 +60,17 @@ def _grounded_solver(
 
     def solve(rhs: np.ndarray) -> tuple[np.ndarray, float, int]:
         x = lu.solve(rhs)
-        rhs_cols, x_cols = rhs.reshape(rhs.shape[0], -1), x.reshape(x.shape[0], -1)
-        worst, steps = 0.0, 1
-        for j in range(0, rhs_cols.shape[1], _CHECK_COLUMNS):
-            b, xb = rhs_cols[:, j:j + _CHECK_COLUMNS], x_cols[:, j:j + _CHECK_COLUMNS]
-            r, residual = _residual(lap, xb, b)
-            if not residual <= RESIDUAL_TOL:
-                xb -= lu.solve(r)
-                _, residual = _residual(lap, xb, b)
-                steps = 2
-            if not residual <= RESIDUAL_TOL:
-                raise SolverError(
-                    f"direct solve missed residual {RESIDUAL_TOL:g} (got {residual:g})"
-                )
-            worst = max(worst, residual)
-        return x, worst, steps
+        # column views, so that the refinement step updates x in place
+        b, xb = rhs.reshape(rhs.shape[0], -1), x.reshape(x.shape[0], -1)
+        r, residual = _residual(lap, xb, b)
+        steps = 1
+        if not residual <= RESIDUAL_TOL:
+            xb -= lu.solve(r)
+            _, residual = _residual(lap, xb, b)
+            steps = 2
+        if not residual <= RESIDUAL_TOL:
+            raise SolverError(f"direct solve missed residual {RESIDUAL_TOL:g} (got {residual:g})")
+        return x, residual, steps
 
     return solve
 
@@ -184,8 +182,8 @@ class OriginResistanceCache:
     the diagonal of its inverse lists the two-point resistances to the
     ground.  One factorization serves every target, and each target costs
     one triangular solve.  The unit right-hand sides go through the factor
-    `_CHECK_COLUMNS` (8) at a time, the width of one residual check.  A
-    column's solution does not depend on the columns solved with it, so a
+    `_CHECK_COLUMNS` (8) at a time, each block checked with one residual.
+    A column's solution does not depend on the columns solved with it, so a
     target's value does not depend on the call it came in.  On a
     32k-vertex window an 8-column dense block is 2 MB and solved fastest
     of the widths 1 to 128; a 128-column block is 33.5 MB.

@@ -47,6 +47,8 @@ class GrowthFunction:
     log_power: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.exponent) and math.isfinite(self.log_power)):
+            raise InvalidArgumentError("growth exponent and log_power must be finite")
         if not self.exponent > 0:
             raise InvalidArgumentError("growth exponent must be positive")
         if self.local_slope_bounds()[0] <= 0:
@@ -130,14 +132,19 @@ class GoodScaleReport:
         return self.volume_ok and self.resistance_ok and self.pointwise_ok
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Refuse a good-scale tolerance that is not a finite number of at least 1."""
+    if not (tolerance >= 1 and math.isfinite(tolerance)):
+        raise InvalidArgumentError(f"tolerance must be finite and at least 1, got {tolerance}")
+
+
 def evaluate_good_scale(
     obs: ScaleObservables,
     tolerance: float,
     volume_growth: GrowthFunction,
     resistance_growth: GrowthFunction,
 ) -> GoodScaleReport:
-    if not tolerance >= 1:
-        raise InvalidArgumentError("tolerance must be at least 1")
+    check_tolerance(tolerance)
     v = volume_growth(obs.radius)
     r = resistance_growth(obs.radius)
     return GoodScaleReport(

@@ -31,6 +31,8 @@ from .resistance import green_row
 
 CONTAMINATION_LEVEL = 1e-3
 _CONSERVATION_TOL = 1e-9
+# trajectories simulated together; each chunk holds its vertex history
+_CHUNK_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -163,11 +165,9 @@ def heat_kernel_exact(
 
 
 def mean_exit_time_exact(g: Graph, origin: int, radius: int, metric: str = "graph") -> float:
-    """E[exit time from the ball of `radius`] via the killed Green row."""
-    g.check_probe_radius(radius)
-    ball = g.ball(origin, radius, metric)
-    g.check_ball_has_outside(origin, radius, metric)
-    row = green_row(g, ball, origin)
+    """E[exit time from the ball of `radius`], which must pass `Graph.check_ball`."""
+    radius = g.check_ball(origin, radius, metric)
+    row = green_row(g, g.ball(origin, radius, metric), origin)
     return float(row.values @ g.measure[g.indices(row.domain)])
 
 
@@ -219,7 +219,6 @@ def simulate(
     radii: Sequence[int] = (),
     time_grid: Sequence[int] | None = None,
     metric: str = "graph",
-    chunk_size: int = 256,
 ) -> WalkStatistics:
     """Sample trajectories of the conductance walk.
 
@@ -228,13 +227,13 @@ def simulate(
 
     From x, a uniform u picks the bond of the merged adjacency whose
     cumulative conductance interval holds u * mu_x, mu being `g.measure`.
-    Trajectories run `chunk_size` at a time, and each chunk records its
-    vertex history.  The range statistics come from that history: the
+    Trajectories run `_CHUNK_SIZE` (256) at a time, and each chunk records
+    its vertex history.  The range statistics come from that history: the
     first visits of each trajectory, found with one scratch array over the
     vertices; the range weight is the sum of `g.measure` over them, added
     in time order.
-    Memory is O(n_vertices + chunk_size * n_steps) on top of the
-    per-trajectory outputs; nothing of size chunk_size * n_vertices is
+    Memory is O(n_vertices + _CHUNK_SIZE * n_steps) on top of the
+    per-trajectory outputs; nothing of size _CHUNK_SIZE * n_vertices is
     allocated.
     """
     if n_steps < 1 or n_trajectories < 1:
@@ -274,8 +273,8 @@ def simulate(
     range_size = np.empty((n_trajectories, n_grid), dtype=np.int64)
     endpoint = np.empty((n_trajectories, n_grid), dtype=np.int64)
 
-    for start in range(0, n_trajectories, chunk_size):
-        stop = min(start + chunk_size, n_trajectories)
+    for start in range(0, n_trajectories, _CHUNK_SIZE):
+        stop = min(start + _CHUNK_SIZE, n_trajectories)
         m = stop - start
         # step-major, so that each step reads and writes contiguous rows
         uniforms = np.empty((n_steps, m))

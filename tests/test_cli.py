@@ -119,6 +119,22 @@ def test_jcheck_command(line_file, capsys):
     assert "volume=14.0" in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--volume-log-power", "nan"], ["--resistance-exponent", "inf"],
+     ["--tolerance", "inf"], ["--tolerance", "0.5"]],
+    ids=["volume-log-power-nan", "resistance-exponent-inf", "tolerance-inf", "tolerance-half"],
+)
+def test_jcheck_refuses_non_finite_growth_and_bad_tolerance(tmp_path, capsys, flags):
+    path = tmp_path / "lrp.edges"
+    assert main(["generate", "--model", "lrp", "--half-width", "256", "--out", str(path)]) == 0
+    argv = ["jcheck", str(path), "--radius", "32", "--tolerance", "4", *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
 def test_walk_command(line_file, capsys):
     assert main(["walk", str(line_file), "--steps", "8", "--trajectories", "5",
                  "--seed", "1", "--radius", "2", "--metric", "line"]) == 0

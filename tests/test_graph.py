@@ -296,14 +296,22 @@ def test_ball_radius_must_be_positive(line64):
 
 def test_probe_radius_guard(line64):
     assert line64.half_width() == 64
-    line64.check_probe_radius(16)
-    with pytest.raises(TruncationError, match="quarter"):
-        line64.check_probe_radius(17)
+    assert line64.check_ball(0, 16, "line") == 16
+    with pytest.raises(TruncationError, match="quarter of the line-metric distance from 0 "
+                                              "to the nearer window end, 64"):
+        line64.check_ball(0, 17, "line")
+    # about another center the distance to the nearer window end is shorter
+    assert line64.check_ball(-40, 6, "line") == 6
+    with pytest.raises(TruncationError, match="distance from -40 to the nearer window end, 24"):
+        line64.check_ball(-40, 7, "line")
 
 
 def test_probe_radius_unrestricted_without_truncation():
     g = Graph(PATH, marked=0)
-    g.check_probe_radius(100)
+    # the marked vertex is a window end, yet the window of an untruncated graph cuts nothing
+    assert g.check_ball(0, 3, "line") == 3
+    with pytest.raises(InvalidArgumentError, match="ball of radius 4 covers the whole graph"):
+        g.check_ball(0, 4, "line")
 
 
 def test_with_bond_adds_a_bond():

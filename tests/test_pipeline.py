@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix
 
 from resistive_walk import pipeline
 from resistive_walk.config import parse_config, with_overrides
-from resistive_walk.errors import ConfigError, InvalidArgumentError
+from resistive_walk.errors import ConfigError, InvalidArgumentError, TruncationError
 from resistive_walk.generate import (
     ExpTailParams,
     LongRangeParams,
@@ -88,6 +88,28 @@ def test_balls_that_cover_a_fixture_are_refused_by_every_caller():
                  lambda: mean_exit_time_exact(g, g.marked, 8, metric="graph")):
         with pytest.raises(InvalidArgumentError, match="ball of radius 8 covers the whole graph"):
             call()
+
+
+def test_graph_metric_balls_the_window_cuts_are_refused_by_every_caller():
+    config = parse_config("name = x\nmodel = lrp\nhalf_width = 128\nbeta = 1.0\n"
+                          "tail_exponent = 2.2\nmetric = graph\n")
+    g = build_graph(config, 0)
+    dist = g.distances_from(g.marked, "graph")
+    reach = int(min(dist[0], dist[-1]))
+    inside, cut = reach // 4, reach // 4 + 1
+    # long bonds bring a window end so close in hops that the line rule would allow `cut`
+    assert 1 <= inside and cut <= g.half_width() / 4
+    growth = growth_functions(config)
+    calls = (lambda R: g.check_ball(g.marked, R, "graph"),
+             lambda R: scale_observables(g, [R], metric="graph"),
+             lambda R: pipeline.check_good_scale(g, R, 2.0, *growth, metric="graph"),
+             lambda R: mean_exit_time_exact(g, g.marked, R, metric="graph"),
+             lambda R: member_observables(with_overrides(config, radius_grid=(R,)), 0))
+    message = f"quarter of the graph-metric distance from 0 to the nearer window end, {reach}"
+    for call in calls:
+        call(inside)
+        with pytest.raises(TruncationError, match=message):
+            call(cut)
 
 
 def test_member_observables_are_reproducible(mini_config):

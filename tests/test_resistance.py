@@ -177,6 +177,10 @@ def test_pointwise_ratios_of_no_radii_factor_nothing(monkeypatch, lrp128):
 
     monkeypatch.setattr(resistance, "splu", no_factor)
     assert max_pointwise_ratios(lrp128, []) == []
+    # a tolerance check_good_scale refuses is refused before any ball is solved
+    growth = GrowthFunction(1.0)
+    with pytest.raises(InvalidArgumentError, match="tolerance"):
+        check_good_scale(lrp128, 8, 0.5, growth, growth)
 
 
 @pytest.mark.parametrize("radius", [2.5, 0, float("inf"), float("nan")])

@@ -41,13 +41,15 @@ def test_growth_is_increasing():
 
 
 def test_growth_rejects_bad_exponent():
-    with pytest.raises(InvalidArgumentError, match="exponent"):
-        GrowthFunction(0.0)
+    for exponent in (0.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidArgumentError, match="exponent"):
+            GrowthFunction(exponent)
 
 
 def test_growth_rejects_overpowering_log():
-    with pytest.raises(InvalidArgumentError, match="log_power"):
-        GrowthFunction(0.2, log_power=-1.0)
+    for log_power in (-1.0, float("-inf"), float("inf"), float("nan")):
+        with pytest.raises(InvalidArgumentError, match="log_power"):
+            GrowthFunction(0.2, log_power=log_power)
 
 
 def test_local_slope_bounds_bracket_local_slope():
@@ -122,8 +124,9 @@ def test_membership_is_monotone_in_tolerance():
 def test_tolerance_below_one_rejected():
     obs = ScaleObservables(8, 30.0, 2.5, 3.0, witness=None)
     v = GrowthFunction(1.0)
-    with pytest.raises(InvalidArgumentError, match="tolerance"):
-        evaluate_good_scale(obs, 0.5, v, v)
+    for tolerance in (0.5, float("inf"), float("nan")):
+        with pytest.raises(InvalidArgumentError, match="tolerance"):
+            evaluate_good_scale(obs, tolerance, v, v)
 
 
 # -- fits ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from resistive_walk import walk
 from resistive_walk.errors import InvalidArgumentError, SolverError
 from resistive_walk.generate import LongRangeParams, fixture, generate_long_range, mix_seed
 from resistive_walk.graph import Graph
@@ -207,10 +208,12 @@ def test_simulation_is_seed_deterministic(line64):
     assert not np.array_equal(a.displacement, c.displacement)
 
 
-def test_simulation_is_chunk_invariant(line64):
+def test_simulation_is_chunk_invariant(line64, monkeypatch):
     kwargs = dict(radii=(2, 4), time_grid=range(1, 33), metric="line")
-    a = simulate(line64, 0, 32, 23, seed=5, chunk_size=256, **kwargs)
-    b = simulate(line64, 0, 32, 23, seed=5, chunk_size=7, **kwargs)
+    monkeypatch.setattr(walk, "_CHUNK_SIZE", 256)
+    a = simulate(line64, 0, 32, 23, seed=5, **kwargs)
+    monkeypatch.setattr(walk, "_CHUNK_SIZE", 7)
+    b = simulate(line64, 0, 32, 23, seed=5, **kwargs)
     for field in ("exit_time", "censored", "displacement", "max_displacement",
                   "range_weight", "range_size", "endpoint"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
@@ -260,7 +263,8 @@ def _visited_loop_reference(g, origin, n_steps, n_traj, seed, radii, grid, metri
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 256])
-def test_simulation_matches_visited_array_reference(chunk_size):
+def test_simulation_matches_visited_array_reference(monkeypatch, chunk_size):
+    monkeypatch.setattr(walk, "_CHUNK_SIZE", chunk_size)
     # random conductances make the measures non-integer; near the low end of
     # the labels they are fine enough that the range weight depends on the
     # order of summation, so the walk starts there
@@ -276,8 +280,7 @@ def test_simulation_matches_visited_array_reference(chunk_size):
     grid = np.asarray([1, 5, 5, 17, 40, 64])
     radii = (2, 9, 30)
     n_traj = 23
-    stats = simulate(g, -80, 64, n_traj, seed=8, radii=radii, time_grid=grid,
-                     metric="line", chunk_size=chunk_size)
+    stats = simulate(g, -80, 64, n_traj, seed=8, radii=radii, time_grid=grid, metric="line")
     ref = _visited_loop_reference(g, -80, 64, n_traj, 8, radii, grid, "line")
     assert ref["censored"][:, -1].any() and not ref["censored"][:, -1].all()
     for field, value in ref.items():
