@@ -122,6 +122,7 @@ def _cmd_walk(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
     if args.steps % 2:
         raise InvalidArgumentError("step count must be even")
+    g.check_ball(g.marked, args.radius, args.metric)
     stats = simulate(g, g.marked, args.steps, args.trajectories, args.seed,
                      radii=(args.radius,), time_grid=(args.steps,), metric=args.metric)
     write_csv(sys.stdout,

@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 from .errors import InvalidArgumentError, SolverError
-from .graph import Graph, check_radius
+from .graph import Graph
 
 RESIDUAL_TOL = 1e-10
 # unit right-hand sides per solve of pair resistances, so columns per residual
@@ -235,9 +235,9 @@ def max_pointwise_ratios(
 
     The ratio is max over y != marked with d(marked, y) < R of
     R_eff(marked, y) / r(d(marked, y)) for the growth r (identity when
-    omitted).  Each radius must pass `check_radius`.  Only targets a
-    shortest-path bound cannot rule out are solved, all through the
-    `pair_resistance` of one `factor(g)`:
+    omitted).  Each radius must pass `Graph.check_ball` about the marked
+    vertex.  Only targets a shortest-path bound cannot rule out are
+    solved, all through the `pair_resistance` of one `factor(g)`:
 
     - the path resistance ub(y) >= R_eff(marked, y) bounds each ratio;
     - first the `_CHECK_COLUMNS` (8) targets of highest bound ratio in
@@ -256,7 +256,7 @@ def max_pointwise_ratios(
     holding only the marked vertex gives (0.0, None), and no radii give an
     empty list; nothing is factored unless a ball holds a target.
     """
-    radii = [check_radius(R) for R in radii]
+    radii = [g.check_ball(g.marked, R, metric) for R in radii]
     if not radii:
         return []
     dist = g.distances_from(g.marked, metric)

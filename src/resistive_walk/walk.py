@@ -33,6 +33,10 @@ CONTAMINATION_LEVEL = 1e-3
 _CONSERVATION_TOL = 1e-9
 # trajectories simulated together; each chunk holds its vertex history
 _CHUNK_SIZE = 256
+# bonds a row of the walk's step table holds: the 8 bounds between them compare
+# into the 8 bytes of one uint64; a step from a vertex with more bonds (a hub)
+# searches the global cumulative conductances instead
+_TABLE_BONDS = 9
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,56 @@ class WalkStatistics:
         return float((self.endpoint[:, grid_index] == self.origin).mean())
 
 
+def _step_table(g: Graph, origin: int, n_steps: int):
+    """The walk's light cone and the tables its steps read.
+
+    Returns (cone, table, neighbours, hub_step).  `cone` holds the vertex
+    indices at hop distance <= n_steps from `origin`, in hop order (the
+    origin first); the walk never leaves it.  Row i of `table` and of
+    `neighbours` belongs to cone[i] for the rows at hop < n_steps, the
+    ones the walk steps from, whose bonds all end in the cone.  A table
+    row is [mu_x, c_0, c_1, ..., c_8], c_k being the global cumulative
+    conductance at the start of bond k of x, +inf past its last bond; the
+    matching neighbour row holds the cone index of each bond's far end.
+    A row with more than _TABLE_BONDS bonds (a hub) does not fit the
+    table: hub_step(x, target, step) redoes, for the trajectories at
+    hub rows, the global search that picks their bond.  It is None when
+    no row is a hub.
+    """
+    adj = g.adjacency()
+    indptr, indices = adj.indptr, adj.indices
+    edge_cum = np.concatenate([[0.0], np.cumsum(adj.data)])
+    hops = g.distances_from(origin, "graph")
+    cone = np.flatnonzero(hops <= n_steps)
+    cone = cone[np.argsort(hops[cone], kind="stable")]
+    rows = cone[: np.searchsorted(hops[cone], n_steps)]
+
+    first = indptr[rows]
+    degree = indptr[rows + 1] - first
+    bond = first[:, None] + np.arange(_TABLE_BONDS)
+    table = np.empty((rows.size, _TABLE_BONDS + 1))
+    table[:, 0] = g.measure[rows]
+    table[:, 1:] = edge_cum[np.minimum(bond, edge_cum.size - 1)]
+    table[:, 2:][np.arange(1, _TABLE_BONDS) >= degree[:, None]] = np.inf
+    local = np.full(g.n_vertices, -1, dtype=np.intp)
+    local[cone] = np.arange(cone.size)
+    neighbours = local[indices[np.minimum(bond, indices.size - 1)]]
+
+    hub_step = None
+    if degree.max() > _TABLE_BONDS:
+        hub = degree > _TABLE_BONDS
+
+        def hub_step(x: np.ndarray, target: np.ndarray, step: np.ndarray) -> None:
+            """The step by global search and clip, for the trajectories on hub rows."""
+            at = np.flatnonzero(hub[x])
+            if at.size:
+                v = cone[x[at]]
+                pos = np.searchsorted(edge_cum, target[at], side="right") - 1
+                np.clip(pos, indptr[v], indptr[v + 1] - 1, out=pos)
+                step[at] = local[indices[pos]]
+    return cone, table, neighbours.ravel(), hub_step
+
+
 def simulate(
     g: Graph,
     origin: int,
@@ -227,13 +281,29 @@ def simulate(
 
     From x, a uniform u picks the bond of the merged adjacency whose
     cumulative conductance interval holds u * mu_x, mu being `g.measure`.
+    With c_0 <= c_1 <= ... the global cumulative conductances at the starts
+    of x's bonds, the step takes bond k, the number of c_1..c_(deg-1) at
+    most target = u * mu_x + c_0.  The walk never leaves its light cone,
+    the vertices within n_steps hops of the origin (the hop distances
+    `g.distances_from(origin, "graph")`, cached per graph), so each call
+    builds one table over the cone: a row holds mu_x, c_0 and the bounds
+    c_1..c_8, padded with +inf, and a second table the cone index of each
+    bond's far end.  A step is one row gather, the target, one 8-wide
+    comparison with the bounds, a count of the bounds passed and one
+    neighbour gather.  It compares the same floats as a binary search over
+    all cumulative conductances clipped to x's bonds, so it picks the same
+    bond; a step from a hub, a vertex with more than 9 bonds, does that
+    search instead.
+
     Trajectories run `_CHUNK_SIZE` (256) at a time, and each chunk records
-    its vertex history.  The range statistics come from that history: the
-    first visits of each trajectory, found with one scratch array over the
-    vertices; the range weight is the sum of `g.measure` over them, added
-    in time order.
-    Memory is O(n_vertices + _CHUNK_SIZE * n_steps) on top of the
-    per-trajectory outputs; nothing of size _CHUNK_SIZE * n_vertices is
+    its history in cone indices.  The range statistics come from that
+    history: the first visits of each trajectory, found with one scratch
+    array over the cone; the range weight is the sum of `g.measure` over
+    them, added in time order.
+    Memory is O(cone * 19 + _CHUNK_SIZE * n_steps) on top of the graph, its
+    cached hop distances and the per-trajectory outputs; building the table
+    takes O(n_vertices + bonds) for a while (for the whole walk when the
+    cone holds a hub).  Nothing of size _CHUNK_SIZE * n_vertices is
     allocated.
     """
     if n_steps < 1 or n_trajectories < 1:
@@ -246,25 +316,17 @@ def simulate(
         if grid.size == 0 or grid[0] < 1 or grid[-1] > n_steps:
             raise InvalidArgumentError("time grid must lie in 1..n_steps")
 
-    adj = g.adjacency()
-    # scipy may narrow CSR indices to int32, and indexing with int32 arrays
-    # converts them to intp on every step
-    indptr, indices = adj.indptr.astype(np.intp), adj.indices.astype(np.intp)
-    edge_cum = np.concatenate([[0.0], np.cumsum(adj.data)])
-    # per vertex: where its bonds start in edge_cum, and its first and last bond
-    row_start = edge_cum[indptr[:-1]]
-    first_bond, last_bond = indptr[:-1], indptr[1:] - 1
-    mu = g.measure
-    dist = g.distances_from(origin, metric)
-    oi = g.index(origin)
-    n = g.n_vertices
+    cone, table, neighbours, hub_step = _step_table(g, origin, n_steps)
+    mu = g.measure[cone]
+    dist = g.distances_from(origin, metric)[cone]
+    labels = g.labels[cone]
 
     n_grid = grid.size
     # first_step[v] is the first step at which the current trajectory stood
-    # on v, `never` when it has not; reset after each trajectory
+    # on cone vertex v, `never` when it has not; reset after each trajectory
     steps = np.arange(n_steps + 1)
     never = n_steps + 1
-    first_step = np.full(n, never)
+    first_step = np.full(cone.size, never)
     exit_time = np.full((n_trajectories, radii_arr.size), n_steps, dtype=np.int64)
     censored = np.ones((n_trajectories, radii_arr.size), dtype=bool)
     displacement = np.empty((n_trajectories, n_grid), dtype=np.int64)
@@ -282,22 +344,25 @@ def simulate(
             stream = np.random.default_rng(mix_seed(seed, start + i))
             uniforms[:, i] = stream.random(n_steps)
 
-        x = np.full(m, oi, dtype=np.intp)
-        # vertex indices of each step; int32 halves the chunk's largest array
+        x = np.zeros(m, dtype=np.intp)  # the origin is cone vertex 0
+        # cone indices of each step; int32 halves the chunk's largest array
         step_hist = np.empty((n_steps + 1, m), dtype=np.int32)
-        step_hist[0] = oi
+        step_hist[0] = 0
         for t in range(1, n_steps + 1):
-            target = uniforms[t - 1] * mu[x]
-            target += row_start[x]
-            pos = np.searchsorted(edge_cum, target, side="right")
-            pos -= 1
-            np.clip(pos, first_bond[x], last_bond[x], out=pos)
-            x = indices[pos]
+            row = table.take(x, axis=0)
+            target = uniforms[t - 1] * row[:, 0]
+            target += row[:, 1]
+            # the bounds passed, counted as the set bytes of 8 booleans
+            passed = np.bitwise_count((row[:, 2:] <= target[:, None]).view(np.uint64))
+            x_next = neighbours.take(x * _TABLE_BONDS + passed[:, 0])
+            if hub_step is not None:
+                hub_step(x, target, x_next)
+            x = x_next
             step_hist[t] = x
         x_hist = np.ascontiguousarray(step_hist.T)  # one row per trajectory
         d_hist = dist[x_hist]
         displacement[start:stop] = d_hist[:, grid]
-        endpoint[start:stop] = g.labels[x_hist[:, grid]]
+        endpoint[start:stop] = labels[x_hist[:, grid]]
         for i, row in enumerate(x_hist, start):
             # steps of first visits, ascending; the origin's is step 0
             np.minimum.at(first_step, row, steps)

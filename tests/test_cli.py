@@ -143,6 +143,19 @@ def test_walk_command(line_file, capsys):
     assert lines[0].startswith("trajectory,exit_time,censored")
 
 
+def test_walk_refuses_a_ball_the_window_cuts(tmp_path, capsys):
+    # the nearer window end lies 10 hops from 0, so graph-metric radii past 2 are cut
+    path = tmp_path / "lrp22.edges"
+    assert main(["generate", "--model", "lrp", "--half-width", "256", "--tail-exponent",
+                 "2.2", "--seed", "3", "--out", str(path)]) == 0
+    argv = ["walk", str(path), "--steps", "256", "--trajectories", "300", "--metric", "graph"]
+    assert main([*argv, "--radius", "8"]) == 2
+    captured = capsys.readouterr()
+    assert "quarter of the graph-metric distance" in captured.err
+    assert captured.out == ""
+    assert main([*argv, "--radius", "2"]) == 0
+
+
 def test_walk_rejects_odd_steps(line_file, capsys):
     assert main(["walk", str(line_file), "--steps", "7", "--trajectories", "2",
                  "--seed", "1", "--radius", "2"]) == 2

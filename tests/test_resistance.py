@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from resistive_walk import resistance
-from resistive_walk.errors import InvalidArgumentError, SolverError
+from resistive_walk.errors import InvalidArgumentError, SolverError, TruncationError
 from resistive_walk.generate import (
     ExpTailParams,
     LongRangeParams,
@@ -187,6 +187,17 @@ def test_pointwise_ratios_of_no_radii_factor_nothing(monkeypatch, lrp128):
 def test_pointwise_ratios_refuse_a_radius_that_is_not_a_positive_integer(lrp128, radius):
     with pytest.raises(InvalidArgumentError, match="radius must be a positive integer"):
         max_pointwise_ratios(lrp128, [4, radius])
+
+
+def test_pointwise_ratios_refuse_a_ball_the_window_cuts(monkeypatch):
+    # the nearer window end lies 10 hops from 0: a graph-metric ball of
+    # radius 64 holds most of the window, and nothing is factored for it
+    g = generate_long_range(LongRangeParams(256, 1.0, 2.2, seed=3))
+    monkeypatch.setattr(resistance, "splu", None)
+    with pytest.raises(TruncationError, match="graph-metric distance from 0"):
+        max_pointwise_ratios(g, [64], "graph")
+    with pytest.raises(TruncationError):
+        max_pointwise_ratios(g, [2, 3], "graph")
 
 
 @pytest.mark.parametrize("half_width, tail, seed", [(24, 2.2, 1), (48, 3.0, 2), (99, 3.5, 3)])

@@ -262,6 +262,19 @@ def _visited_loop_reference(g, origin, n_steps, n_traj, seed, radii, grid, metri
     return {k: np.asarray(v) for k, v in out.items()}
 
 
+def _assert_matches_reference(g, origin, n_steps, n_traj, seed, radii, grid, metric):
+    stats = simulate(g, origin, n_steps, n_traj, seed=seed, radii=radii, time_grid=grid,
+                     metric=metric)
+    ref = _visited_loop_reference(g, origin, n_steps, n_traj, seed, radii, np.asarray(grid),
+                                  metric)
+    for field, value in ref.items():
+        got = getattr(stats, field)
+        assert got.shape == value.shape, field
+        assert got.tobytes() == value.astype(got.dtype).tobytes(), field
+    assert stats.range_weight.dtype == np.float64
+    return ref
+
+
 @pytest.mark.parametrize("chunk_size", [1, 7, 256])
 def test_simulation_matches_visited_array_reference(monkeypatch, chunk_size):
     monkeypatch.setattr(walk, "_CHUNK_SIZE", chunk_size)
@@ -277,17 +290,57 @@ def test_simulation_matches_visited_array_reference(monkeypatch, chunk_size):
     adj = g.adjacency()
     edge_cum = np.concatenate([[0.0], np.cumsum(adj.data)])
     assert np.any(edge_cum[adj.indptr[1:]] - edge_cum[adj.indptr[:-1]] != g.measure)
-    grid = np.asarray([1, 5, 5, 17, 40, 64])
-    radii = (2, 9, 30)
-    n_traj = 23
-    stats = simulate(g, -80, 64, n_traj, seed=8, radii=radii, time_grid=grid, metric="line")
-    ref = _visited_loop_reference(g, -80, 64, n_traj, 8, radii, grid, "line")
+    ref = _assert_matches_reference(g, -80, 64, 23, 8, (2, 9, 30), [1, 5, 5, 17, 40, 64],
+                                    "line")
     assert ref["censored"][:, -1].any() and not ref["censored"][:, -1].all()
-    for field, value in ref.items():
-        got = getattr(stats, field)
-        assert got.shape == value.shape, field
-        assert got.tobytes() == value.astype(got.dtype).tobytes(), field
-    assert stats.range_weight.dtype == np.float64
+
+
+def _hub_graph():
+    """A line with random conductances where vertex 1 has 24 bonds, -1 has 9 and -3 has 10.
+
+    The last bond of each of the three in adjacency order, the one to its
+    highest neighbour, is its strongest, so the walk takes it often.
+    """
+    rng = np.random.default_rng(17)
+    u, v = list(range(-60, 60)), list(range(-59, 61))
+    c = list(1.0 + rng.random(len(u)))
+    for x, far in ((1, range(5, 48, 2)), (-1, range(10, 29, 3)), (-3, range(50, 58))):
+        u += [x] * len(far)
+        v += list(far)
+        c += [*(1.0 + rng.random(len(far) - 1)), 6.0]
+    return Graph.from_arrays(u, v, c, marked=0, truncated=True)
+
+
+@pytest.mark.parametrize("metric", ["graph", "line"])
+def test_simulation_from_hub_rows_matches_reference(metric):
+    # rows with more bonds than the step table holds take the global search
+    g = _hub_graph()
+    degree = dict(zip(g.labels.tolist(), np.diff(g.adjacency().indptr).tolist()))
+    assert (degree[1], degree[-1], degree[-3]) == (24, 9, 10)
+    assert degree[1] > walk._TABLE_BONDS >= degree[-1]
+    ref = _assert_matches_reference(g, 0, 48, 60, 2, (3, 12), [1, 2, 16, 48], metric)
+    assert ref["range_size"][:, -1].max() > 20
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 24])
+def test_simulation_on_a_light_cone_smaller_than_the_window_matches_reference(n_steps):
+    # a walk of n steps can stand on a vertex n hops out, at the cone's edge
+    g = generate_long_range(LongRangeParams(256, 1.0, 3.0, seed=5))
+    hops = g.distances_from(0)
+    assert np.count_nonzero(hops <= n_steps) < g.n_vertices / 4
+    grid = sorted({1, n_steps // 2 + 1, n_steps})
+    radii = sorted({1, 2, n_steps})
+    ref = _assert_matches_reference(g, 0, n_steps, 40, 6, radii, grid, "graph")
+    if n_steps <= 3:
+        assert np.any(ref["max_displacement"][:, -1] == n_steps)
+
+
+@pytest.mark.parametrize("name,size", [("cycle", 12), ("binary_tree", 4)])
+def test_simulation_on_an_untruncated_fixture_matches_reference(name, size):
+    # the cone is the whole graph
+    g = fixture(name, size)
+    assert g.distances_from(0).max() < 40
+    _assert_matches_reference(g, 0, 40, 30, 9, (2, 4), [1, 7, 40], "graph")
 
 
 def test_exit_duality_per_trajectory(lrp128):
