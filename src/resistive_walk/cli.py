@@ -15,7 +15,7 @@ import sys
 from .config import PRESET_NAMES, format_value, load_config, load_preset, write_csv
 from .errors import ConfigError, InvalidArgumentError, SolverError
 from .generate import MODELS, model_graph
-from .graph import INT64, METRICS, dumps_edge_list, read_edge_list, write_edge_list
+from .graph import INT64, METRICS, check_int, dumps_edge_list, read_edge_list, write_edge_list
 from .pipeline import check_good_scale, scale_observables
 from .pipeline import run as run_pipeline
 from .report import report as build_report
@@ -89,8 +89,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_heatkernel(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
-    if args.steps < 2:
-        raise InvalidArgumentError("heat kernel horizon must be at least 2 steps")
+    check_int(args.steps, "heat kernel horizon --steps", 2)
     table = heat_kernel_exact(g, g.marked, args.steps + 1)
     write_csv(sys.stdout, "n,p2n,f_n,boundary_mass",
               ((n, table.origin_series[2 * n], table.smoothed(2 * n), table.boundary_contact[2 * n])

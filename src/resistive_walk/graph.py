@@ -29,14 +29,20 @@ METRICS = ("graph", "line")
 INT64 = np.iinfo(np.int64)
 
 
-def check_radius(radius) -> int:
-    """A ball radius as an int; anything but a finite positive integer value is refused."""
+def check_int(value, name: str, low: int = 1, high: float = np.inf) -> int:
+    """`value` as an int in low..high; anything but a finite integer value there is refused."""
     try:
-        if radius >= 1 and int(radius) == radius:
-            return int(radius)
+        if low <= value <= high and int(value) == value:
+            return int(value)
     except (OverflowError, TypeError, ValueError):  # int() of inf, or not a number
         pass
-    raise InvalidArgumentError(f"radius must be a positive integer, got {radius}")
+    bounds = "a positive integer" if (low, high) == (1, np.inf) else f"an integer in {low}..{high}"
+    raise InvalidArgumentError(f"{name} must be {bounds}, got {value}")
+
+
+def check_radius(radius) -> int:
+    """A ball radius as an int; anything but a finite positive integer value is refused."""
+    return check_int(radius, "radius")
 
 
 def check_quarter_distance(radius, distance: int, of: str, error=TruncationError) -> None:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import Graph
+from .graph import Graph, check_int
 
 MAX_VERTICES = 200
 
@@ -63,8 +63,7 @@ def dense_heat_kernel(g: Graph, origin: int, n_steps: int) -> np.ndarray:
     label order, computed by repeated dense transition products.
     """
     _guard(g)
-    if n_steps < 0:
-        raise InvalidArgumentError("n_steps must be nonnegative")
+    n_steps = check_int(n_steps, "n_steps", 0)
     W = _dense_weights(g)
     mu = W.sum(axis=1)
     P = W / mu[:, None]

@@ -1,11 +1,14 @@
 """Heat kernels and Monte Carlo statistics of the conductance walk.
 
-The walk moves from x to y with probability conductance(x,y)/mu_x.  Heat
-kernel values p_n(x,y) = P(X_n = y)/mu_y come from exact sparse
-transition products restricted to the light cone: after t steps the walk
-sits within t hops of its start, so with vertices sorted by hop distance
-each step multiplies only the leading block it can reach.  The return
-probabilities need only half the horizon: the walk is reversible, so
+The walk moves from x to y with probability conductance(x,y)/mu_x.  After t
+steps it sits within t hops of its start: `_light_cone` lists that cone in
+hop order with reach[t], the count within t hops, and the exact kernel and
+the Monte Carlo walk both work on it alone.  Heat kernel values
+p_n(x,y) = P(X_n = y)/mu_y come from exact sparse transition products: the
+hop-ordered transition matrix over the cone is built once, step t multiplies
+its leading block, sliced to hold the first reach[t] vertices, and every sum
+runs over that reach[t] prefix.  The return probabilities need only half the
+horizon: the walk is reversible, so
 p_{s+t}(o,o) = sum_y p_s(o,y) p_t(o,y) mu_y, and in particular
 p_{2m}(o,o) = sum_y p_m(o,y)^2 mu_y, the identity that on-diagonal heat
 kernel upper bounds start from (Barlow, Coulhon & Kumagai, CPAM 2005).  A
@@ -26,7 +29,7 @@ from scipy.sparse import diags
 
 from .errors import InvalidArgumentError, SolverError
 from .generate import mix_seed
-from .graph import Graph, check_radius
+from .graph import Graph, check_int, check_radius
 from .resistance import green_row
 
 CONTAMINATION_LEVEL = 1e-3
@@ -70,9 +73,19 @@ class HeatKernelTable:
 
     def smoothed(self, n: int) -> float:
         """p_n + p_{n+1}, the parity-insensitive kernel value."""
-        if not 0 <= n < self.horizon:
-            raise InvalidArgumentError("n must lie in 0..horizon-1")
+        n = check_int(n, "n", 0, self.horizon - 1)
         return float(self.origin_series[n] + self.origin_series[n + 1])
+
+
+def _light_cone(g: Graph, origin: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cone, reach): the vertex indices within `horizon` hops of `origin` in
+    stable hop order (the origin first), and reach[h] = |{hop <= h}| for
+    h = 0..horizon, from the cached `g.distances_from(origin, "graph")`."""
+    hops = g.distances_from(origin, "graph")
+    cone = np.flatnonzero(hops <= horizon)
+    cone_hops = hops[cone]
+    cone = cone[np.argsort(cone_hops, kind="stable")]
+    return cone, np.cumsum(np.bincount(cone_hops, minlength=horizon + 1))
 
 
 def heat_kernel_exact(
@@ -83,88 +96,73 @@ def heat_kernel_exact(
 ) -> HeatKernelTable:
     """Exact kernel series from `origin` to n_steps, by products on the light cone.
 
-    After t steps the walk sits on vertices at most t hops from the origin,
-    so with the vertices sorted by hop distance each step multiplies only
-    the leading k x k block of the transition matrix, k >= |{hop <= t}|.
-    The block is regrown by doubling k; once it holds every vertex the
-    step is the full product.
-
     The distribution q_m = P(X_m = .) runs only to m = ceil(n_steps / 2):
     the walk is reversible, so p_{2m}(o, o) = sum_y q_m(y)^2 / mu_y and
     p_{2m-1}(o, o) = sum_y q_{m-1}(y) q_m(y) / mu_y.  q runs further only
     to the latest requested snapshot and to the first step that can reach
     the window edge.  The killed product starts at that step and runs to
     n_steps: before it, boundary contact is exactly 0.
-    """
-    if n_steps < 0:
-        raise InvalidArgumentError("n_steps must be nonnegative")
-    wanted = set(int(s) for s in snapshots)
-    bad = [s for s in wanted if not 0 <= s <= n_steps]
-    if bad:
-        raise InvalidArgumentError(f"snapshot steps {bad} outside 0..{n_steps}")
-    adj = g.adjacency()
-    n = g.n_vertices
-    hops = g.distances_from(origin, "graph")
-    order = np.argsort(hops, kind="stable")  # the origin comes first
-    reach = np.cumsum(np.bincount(hops))  # reach[h] = |{hop <= h}|
-    mu = g.measure[order]
 
-    # window-edge vertices (the lowest and highest label, indices 0 and
-    # n - 1), as ascending positions in hop order, and the first step at
-    # which the walk can stand on one
-    edge = np.zeros(0, dtype=np.int64)
-    if g.truncated:
-        edge = np.flatnonzero((order == 0) | (order == n - 1))
-    edge_step = int(hops[order[edge[0]]]) if edge.size else n_steps + 1
+    The hop-ordered transition matrix over the light cone of the last step
+    is built once.  Step t multiplies its leading k x k block, k >= reach[t],
+    sliced anew each time k doubles; q and the killed vector are cone-length,
+    zero past reach[t].  Every sum, the series dot products and the contact,
+    runs over the reach[t] prefix, so its bits depend on t alone.  Memory is
+    O(cone + its bonds) on top of the graph and its cached hop distances,
+    plus a window-length row per snapshot.
+    """
+    n_steps = check_int(n_steps, "n_steps", 0)
+    wanted = {check_int(s, "snapshot step", 0, n_steps) for s in snapshots}
+    hops = g.distances_from(origin, "graph")
+    n = g.n_vertices
+    # the first step at which the walk can stand on a window-edge vertex (the
+    # lowest and highest label, indices 0 and n - 1)
+    edge_step = int(min(hops[0], hops[n - 1])) if g.truncated else n_steps + 1
     # the last step of q, and the last step of any product
     q_last = max([(n_steps + 1) // 2, *wanted])
     if edge_step <= n_steps:
         q_last = max(q_last, edge_step)
     last = n_steps if edge_step <= n_steps else q_last
 
-    def label_order(x: np.ndarray) -> np.ndarray:
-        full = np.zeros(n)
-        full[order[: x.size]] = x / mu[: x.size]
-        return full
+    cone, reach = _light_cone(g, origin, last)
+    mu = g.measure[cone]
+    matrix = (g.adjacency()[cone][:, cone] @ diags(1.0 / mu)).tocsr()
+    edge = np.flatnonzero((cone == 0) | (cone == n - 1)) if g.truncated else []
 
-    k = 1
-    block = None
-    q = np.ones(1)
+    k, block = 0, None
+    q, previous = np.zeros(cone.size), np.zeros(cone.size)
+    q[0] = 1.0
     killed = None
     series = np.empty(n_steps + 1)
     series[0] = 1.0 / mu[0]
     contact = np.zeros(n_steps + 1)
     snaps: dict[int, np.ndarray] = {}
     for t in range(last + 1):
-        if t:
-            need = int(reach[min(t, reach.size - 1)])
-            if need > k:
-                grown = min(n, max(need, 2 * k))
-                cone = order[:grown]
-                block = (adj[cone][:, cone] @ diags(1.0 / mu[:grown])).tocsr()
-                q = np.concatenate([q, np.zeros(grown - k)])
-                if killed is not None:
-                    killed = np.concatenate([killed, np.zeros(grown - k)])
-                k = grown
-            if t <= q_last:
-                previous, q = q, block @ q
-                total = q.sum()
-                if abs(total - 1.0) > _CONSERVATION_TOL:
-                    raise SolverError(f"probability mass drifted to {total!r} at step {t}")
-                if 2 * t - 1 <= n_steps:
-                    weighted = q / mu[:k]
-                    series[2 * t - 1] = weighted @ previous
-                    if 2 * t <= n_steps:
-                        series[2 * t] = weighted @ q
-            if killed is not None:
-                killed = block @ killed
+        r = int(reach[t])
+        if r > k:
+            k = min(cone.size, max(r, 2 * k))
+            block = matrix[:k, :k]
+        if t and t <= q_last:
+            previous, q = q, previous
+            q[:k] = block @ previous[:k]
+            total = q[:r].sum()
+            if abs(total - 1.0) > _CONSERVATION_TOL:
+                raise SolverError(f"probability mass drifted to {total!r} at step {t}")
+            if 2 * t - 1 <= n_steps:
+                weighted = q[:r] / mu[:r]
+                series[2 * t - 1] = weighted @ previous[:r]
+                if 2 * t <= n_steps:
+                    series[2 * t] = weighted @ q[:r]
+        if killed is not None:
+            killed[:k] = block @ killed[:k]
         if t == edge_step:
             killed = q.copy()
         if killed is not None:
-            killed[edge[edge < k]] = 0.0
-            contact[t] = 1.0 - killed.sum()
+            killed[edge] = 0.0
+            contact[t] = 1.0 - killed[:r].sum()
         if t in wanted:
-            snaps[t] = label_order(q)
+            snaps[t] = np.zeros(n)
+            snaps[t][cone] = q / mu
     return HeatKernelTable(int(origin), n_steps, g.labels, series, contact, snaps)
 
 
@@ -203,7 +201,9 @@ class WalkStatistics:
 
     def mean_exit_time(self, radius: int) -> float:
         """Mean exit time over the trajectories that exited by the horizon."""
-        j = int(np.nonzero(self.radii == radius)[0][0])
+        if check_radius(radius) not in self.radii:
+            raise InvalidArgumentError(f"radius {radius} is not tracked: {self.radii.tolist()}")
+        j = int(np.flatnonzero(self.radii == radius)[0])
         live = ~self.censored[:, j]
         if not live.any():
             raise InvalidArgumentError(f"all trajectories censored at radius {radius}")
@@ -217,9 +217,8 @@ class WalkStatistics:
 def _step_table(g: Graph, origin: int, n_steps: int):
     """The walk's light cone and the tables its steps read.
 
-    Returns (cone, table, neighbours, hub_step).  `cone` holds the vertex
-    indices at hop distance <= n_steps from `origin`, in hop order (the
-    origin first); the walk never leaves it.  Row i of `table` and of
+    Returns (cone, table, neighbours, hub_step).  `cone` is the walk's
+    `_light_cone`, which it never leaves.  Row i of `table` and of
     `neighbours` belongs to cone[i] for the rows at hop < n_steps, the
     ones the walk steps from, whose bonds all end in the cone.  A table
     row is [mu_x, c_0, c_1, ..., c_8], c_k being the global cumulative
@@ -233,10 +232,8 @@ def _step_table(g: Graph, origin: int, n_steps: int):
     adj = g.adjacency()
     indptr, indices = adj.indptr, adj.indices
     edge_cum = np.concatenate([[0.0], np.cumsum(adj.data)])
-    hops = g.distances_from(origin, "graph")
-    cone = np.flatnonzero(hops <= n_steps)
-    cone = cone[np.argsort(hops[cone], kind="stable")]
-    rows = cone[: np.searchsorted(hops[cone], n_steps)]
+    cone, reach = _light_cone(g, origin, n_steps)
+    rows = cone[: reach[n_steps - 1]]
 
     first = indptr[rows]
     degree = indptr[rows + 1] - first
@@ -283,10 +280,9 @@ def simulate(
     cumulative conductance interval holds u * mu_x, mu being `g.measure`.
     With c_0 <= c_1 <= ... the global cumulative conductances at the starts
     of x's bonds, the step takes bond k, the number of c_1..c_(deg-1) at
-    most target = u * mu_x + c_0.  The walk never leaves its light cone,
-    the vertices within n_steps hops of the origin (the hop distances
-    `g.distances_from(origin, "graph")`, cached per graph), so each call
-    builds one table over the cone: a row holds mu_x, c_0 and the bounds
+    most target = u * mu_x + c_0.  The walk never leaves its light cone
+    (`_light_cone`), the vertices within n_steps hops of the origin, so each
+    call builds one table over the cone: a row holds mu_x, c_0 and the bounds
     c_1..c_8, padded with +inf, and a second table the cone index of each
     bond's far end.  A step is one row gather, the target, one 8-wide
     comparison with the bounds, a count of the bounds passed and one
@@ -306,15 +302,14 @@ def simulate(
     cone holds a hub).  Nothing of size _CHUNK_SIZE * n_vertices is
     allocated.
     """
-    if n_steps < 1 or n_trajectories < 1:
-        raise InvalidArgumentError("n_steps and n_trajectories must be positive")
+    n_steps = check_int(n_steps, "n_steps")
+    n_trajectories = check_int(n_trajectories, "n_trajectories")
     radii_arr = np.asarray(sorted(map(check_radius, radii)), dtype=np.int64)
-    if time_grid is None:
-        grid = np.asarray([n_steps], dtype=np.int64)
-    else:
-        grid = np.asarray(sorted(int(t) for t in time_grid), dtype=np.int64)
-        if grid.size == 0 or grid[0] < 1 or grid[-1] > n_steps:
-            raise InvalidArgumentError("time grid must lie in 1..n_steps")
+    time_grid = (n_steps,) if time_grid is None else time_grid
+    grid = np.asarray(sorted(check_int(t, "time grid step", 1, n_steps) for t in time_grid),
+                      dtype=np.int64)
+    if grid.size == 0:
+        raise InvalidArgumentError("time grid must hold a step")
 
     cone, table, neighbours, hub_step = _step_table(g, origin, n_steps)
     mu = g.measure[cone]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,14 @@ def test_half_horizon_kernel_matches_dense_oracle(half_width, tail_exponent, see
     assert snapped.origin_series.tobytes() == table.origin_series.tobytes()
     assert snapped.boundary_contact.tobytes() == table.boundary_contact.tobytes()
 
+    # every sum runs over the reach[t] prefix of the cone, so a longer horizon,
+    # with its larger cone and blocks, leaves the earlier steps as they were;
+    # below the edge step the shorter horizon's cone caps its blocks
+    for horizon in (edge_step - 1, n_steps):
+        short = heat_kernel_exact(g, 0, horizon).origin_series
+        longer = heat_kernel_exact(g, 0, 2 * horizon).origin_series
+        assert longer[: horizon + 1].tobytes() == short.tobytes()
+
 
 @pytest.mark.parametrize("n_steps", [100, 101])
 def test_half_horizon_kernel_on_the_line_keeps_odd_returns_exactly_zero(line64, n_steps):
@@ -158,8 +168,32 @@ def test_smoothed_kernel_is_nonincreasing_on_even_steps(lrp128):
 
 
 def test_snapshot_bounds_are_checked(line64):
-    with pytest.raises(InvalidArgumentError, match="snapshot"):
-        heat_kernel_exact(line64, 0, 4, snapshots=(9,))
+    for bad in (9, -1, 2.5):
+        with pytest.raises(InvalidArgumentError, match="snapshot"):
+            heat_kernel_exact(line64, 0, 4, snapshots=(bad,))
+    for bad in (-1, 4.5, float("nan"), "4"):
+        with pytest.raises(InvalidArgumentError, match="n_steps"):
+            heat_kernel_exact(line64, 0, bad)
+    table = heat_kernel_exact(line64, 0, 4)
+    for bad in (2.5, -1, 4):
+        with pytest.raises(InvalidArgumentError):
+            table.smoothed(bad)
+    assert table.smoothed(2.0) == table.smoothed(2)
+
+
+def test_kernel_memory_stays_on_the_light_cone():
+    # 64 steps reach a few hundred of the 131073 vertices; the kernel allocates
+    # no window-length float or index array (scipy's column selection of the
+    # cone takes one int32 per vertex)
+    g = generate_long_range(LongRangeParams(2**16, 1.0, 3.5, seed=7))
+    g.distances_from(0)
+    tracemalloc.start()
+    try:
+        heat_kernel_exact(g, 0, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.n_vertices
 
 
 def test_boundary_contact_counts_escaped_mass():
@@ -410,3 +444,15 @@ def test_simulation_validates_arguments(line64):
             simulate(line64, 0, 8, 4, seed=0, radii=(bad,))
     with pytest.raises(InvalidArgumentError):
         simulate(line64, 0, 8, 4, seed=0, time_grid=(9,))
+    for grid in ((2.5, 8), (0, 8), ()):
+        with pytest.raises(InvalidArgumentError, match="time grid"):
+            simulate(line64, 0, 8, 4, seed=0, time_grid=grid)
+    with pytest.raises(InvalidArgumentError, match="n_steps"):
+        simulate(line64, 0, 8.5, 4, seed=0)
+    with pytest.raises(InvalidArgumentError, match="n_trajectories"):
+        simulate(line64, 0, 8, 4.5, seed=0)
+    stats = simulate(line64, 0, 64, 8, seed=0, radii=(4, 8))
+    for bad in (5, 2.5, 0):
+        with pytest.raises(InvalidArgumentError, match="radius"):
+            stats.mean_exit_time(bad)
+    assert stats.mean_exit_time(4.0) == stats.mean_exit_time(4)
