@@ -19,22 +19,24 @@ would call `choice`.  The block doubles after each all-zero block and
 starts small again after a hit.  The bonds reach `Graph` as arrays, in
 the loop's order, through `Graph.from_arrays`.
 
-The probabilities of all distances come as one array from
+The probabilities of all distances come as one read-only array from
 `bond_probabilities`, bit for bit those of the scalar `bond_probability`.
-The polynomial tail maps `math.pow` over the distances: it is the libm
-`pow` behind Python's float `**`, whereas numpy's array `**` differs from
-it in the last ulp on some distances.  beta and the cap are then applied
-in numpy, whose multiply and minimum round exactly as Python's do.  The
-exponential tail takes numpy's array `exp`, which gives the bits of the
-scalar call; the tests pin both forms to the scalar function on every
-distance of the shipped windows.
+The array depends on the window and its tail, not on the seed, so the
+members of a run share one: the last table built is kept, and a call with
+other parameters replaces it.  The polynomial tail maps `math.pow` over
+the distances: it is the libm `pow` behind Python's float `**`, whereas
+numpy's array `**` differs from it in the last ulp on some distances.
+beta and the cap are then applied in numpy, whose multiply and minimum
+round exactly as Python's do.  The exponential tail takes numpy's array
+`exp`, which gives the bits of the scalar call; the tests pin both forms
+to the scalar function on every distance of the shipped windows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -95,7 +97,12 @@ class LongRangeParams:
         return min(self.beta * float(n) ** -self.tail_exponent, PROBABILITY_CAP)
 
     def bond_probabilities(self) -> np.ndarray:
-        """`bond_probability(n)` for n = 2..2L, bitwise, as one array."""
+        """`bond_probability(n)` for n = 2..2L, bitwise, as one read-only array that
+        every seed of the same (half_width, beta, tail_exponent) shares."""
+        # a zero beta's sign is part of the key: == ignores it, the product keeps it
+        return _shared_table(replace(self, seed=0), math.copysign(1.0, self.beta))
+
+    def _probabilities(self) -> np.ndarray:
         n = range(2, 2 * self.half_width + 1)
         # math.pow is the libm pow behind Python's float `**`
         power = np.fromiter(map(math.pow, n, repeat(-self.tail_exponent)), float, len(n))
@@ -123,7 +130,11 @@ class ExpTailParams:
         return min(float(np.exp(-self.rate * n)), PROBABILITY_CAP)
 
     def bond_probabilities(self) -> np.ndarray:
-        """`bond_probability(n)` for n = 2..2L, bitwise, as one array."""
+        """`bond_probability(n)` for n = 2..2L, bitwise, as one read-only array that
+        every seed of the same (half_width, rate) shares."""
+        return _shared_table(replace(self, seed=0))
+
+    def _probabilities(self) -> np.ndarray:
         n = np.arange(2, 2 * self.half_width + 1, dtype=float)
         return np.minimum(np.exp(-self.rate * n), PROBABILITY_CAP)
 
@@ -131,6 +142,16 @@ class ExpTailParams:
         _check_window(self.half_width, self.seed)
         if not self.rate > 0:
             raise InvalidArgumentError("rate must be positive")
+
+
+@lru_cache(maxsize=1)
+def _shared_table(params: LongRangeParams | ExpTailParams, *key: float) -> np.ndarray:
+    """The bond probabilities of `params`, whose seed is 0, made read-only; `key`
+    holds what `params`' equality does not tell apart.  Only the last table is
+    kept, so a run's members share it and memory holds at most one."""
+    table = params._probabilities()
+    table.flags.writeable = False
+    return table
 
 
 def _generate_window(params: LongRangeParams | ExpTailParams) -> Graph:

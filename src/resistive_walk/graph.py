@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import InvalidArgumentError, TruncationError
 
@@ -49,6 +49,28 @@ def check_quarter_distance(radius, distance: int, of: str, error=TruncationError
     """Refuse a probe radius beyond a quarter of `distance`, the distance that `of` names."""
     if radius > distance / 4:
         raise error(f"probe radius {radius} exceeds a quarter of {of}, {distance}")
+
+
+def _distinct(ends: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an int64 array, which it overwrites.
+
+    When the values span fewer than 8 per entry, as a window's labels do, a
+    presence map over [min, max] finds them: the map's bytes stay within the
+    8 per entry that a sorted copy of the array would take.  Wider spans, up
+    to the whole int64 range, are sorted in place; a sort is several times
+    faster than numpy's hash-based unique.  The span is a Python int, so it
+    cannot overflow.
+    """
+    lo, hi = int(ends.min()), int(ends.max())
+    if hi - lo < 8 * ends.size:
+        present = np.zeros(hi - lo + 1, dtype=bool)
+        ends -= lo
+        present[ends] = True
+        labels = np.flatnonzero(present)
+        labels += lo
+        return labels
+    ends.sort()
+    return ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
 
 
 def _check_metric(metric: str) -> str:
@@ -82,15 +104,21 @@ class Graph:
     merged adjacency, the measure and cached distances.
 
     Facts that never change are computed once per graph, and each has one
-    name.  `adjacency()` is the merged adjacency W, a scipy CSR matrix over
-    both directions of every bond, parallel conductances summed; it is
-    built with the graph, because the checks that every vertex has measure
-    >= 1 and that the graph is connected read it.  `measure` is mu, the row
-    sums of W, kept as a read-only array; nothing else derives a measure.
-    `indices` guesses each label's position as label - labels[0], which is
-    right on contiguous labels such as a window's, and binary-searches only
-    the guesses that miss; the bond ends are looked up the same way when
-    the graph is built.
+    name.  The labels are the distinct bond ends: a presence map over the
+    label range finds them when the range spans fewer than 8 values per
+    bond end, as a window's does, and a sort otherwise.  `adjacency()` is
+    the merged adjacency W, a scipy CSR matrix over both directions of
+    every bond, parallel conductances summed; it is built with the graph,
+    because the checks that every vertex has measure >= 1 and that the
+    graph is connected read it.  `measure` is mu, the row sums of W, kept
+    as a read-only array; nothing else derives a measure.  The graph is
+    connected when the unweighted hop BFS from `marked` reaches every
+    vertex; those hop distances are kept as `distances_from(marked,
+    "graph")`, which the kernel, the walk and graph-metric balls about the
+    marked vertex read without a second traversal.  `indices` guesses each
+    label's position as label - labels[0], which is right on contiguous
+    labels such as a window's, and binary-searches only the guesses that
+    miss; the bond ends are looked up the same way when the graph is built.
     """
 
     __slots__ = (
@@ -153,10 +181,7 @@ class Graph:
         if np.any(c <= 0) or not np.all(np.isfinite(c)):
             raise InvalidArgumentError("conductances must be positive and finite")
 
-        # sorted distinct labels; a sort is several times faster here than
-        # numpy's hash-based unique
-        ends = np.sort(np.concatenate([u, v]))
-        labels = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
+        labels = _distinct(np.concatenate([u, v]))
         self.labels = labels
         self.bond_u = self.indices(u)
         self.bond_v = self.indices(v)
@@ -181,9 +206,8 @@ class Graph:
         if np.any(mu < 1.0):
             raise InvalidArgumentError("every vertex must have measure >= 1")
         self.measure = mu
-        self._cache: dict = {}
-        if not self._connected():
-            raise InvalidArgumentError("graph must be connected")
+        # connected: the hop BFS from the marked vertex reaches every vertex
+        self._cache: dict = {("dist", self.marked, "graph"): self._bfs_hops(self.index(marked))}
 
     # -- basic accessors ------------------------------------------------
 
@@ -238,13 +262,13 @@ class Graph:
         """Merged weighted adjacency W (scipy CSR); parallel conductances add."""
         return self._adjacency
 
-    def _connected(self) -> bool:
-        ncomp, _ = connected_components(self.adjacency(), directed=False)
-        return int(ncomp) == 1
-
     def _bfs_hops(self, start_index: int) -> np.ndarray:
+        """Hop distances from one vertex index; a vertex the BFS cannot reach, at
+        distance inf, means the graph is not connected and is refused."""
         hops = dijkstra(self.adjacency(), indices=start_index, unweighted=True)
-        return hops.astype(np.int64, casting="unsafe")
+        if not np.isfinite(hops).all():
+            raise InvalidArgumentError("graph must be connected")
+        return hops.astype(np.int64)
 
     # -- metrics, balls, volumes -----------------------------------------
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from resistive_walk.generate import (
     generate_long_range,
     mix_seed,
 )
+from resistive_walk.graph import dumps_edge_list
 
 
 def test_mix_seed_is_deterministic_and_spread():
@@ -91,6 +94,42 @@ def test_array_probabilities_are_the_scalar_bits(params):
     want = np.asarray([params.bond_probability(n) for n in distances])
     got = params.bond_probabilities()
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "params, other",
+    [(LongRangeParams(4096, 1.0, 3.5, 0), LongRangeParams(4096, 1.0, 3.0, 0)),
+     (LongRangeParams(2048, 0.0, 3.5, 0), LongRangeParams(2048, -0.0, 3.5, 0)),
+     (ExpTailParams(4096, 0.5, 0), ExpTailParams(2048, 0.5, 0))],
+    ids=["lrp", "signed-zero-beta", "exp"],
+)
+def test_probability_table_is_shared_read_only_and_the_scalar_bits(params, other):
+    table = params.bond_probabilities()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0.5
+    # every seed of the same window and tail reads the same array
+    assert dataclasses.replace(params, seed=12345).bond_probabilities() is table
+    # other parameters replace it, with their own bits; the cache holds one table
+    for p in (other, params):
+        got = p.bond_probabilities()
+        want = [p.bond_probability(n) for n in range(2, 2 * p.half_width + 1)]
+        assert got.tobytes() == np.asarray(want).tobytes()
+    assert generate._shared_table.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "params, other",
+    [(LongRangeParams(600, 1.0, 3.5, 4), LongRangeParams(900, 1.0, 2.2, 4)),
+     (ExpTailParams(600, 0.4, 4), LongRangeParams(600, 1.0, 2.5, 4))],
+)
+def test_window_after_another_tail_has_the_fresh_bytes(params, other):
+    generate._shared_table.cache_clear()
+    fresh = dumps_edge_list(generate._generate_window(params))
+    generate._generate_window(other)
+    assert dumps_edge_list(generate._generate_window(params)) == fresh
+    assert dumps_edge_list(generate._generate_window(dataclasses.replace(params, seed=5))) \
+        != fresh
 
 
 _DEFAULT_RNG = np.random.default_rng

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resistive_walk import generate
+from resistive_walk import graph as graph_module
 from resistive_walk.errors import InvalidArgumentError, TruncationError
 from resistive_walk.generate import ExpTailParams, LongRangeParams, fixture
 from resistive_walk.graph import (
+    INT64,
     Graph,
     dumps_edge_list,
     loads_edge_list,
@@ -55,6 +59,49 @@ def test_rejects_disconnected_graph():
         Graph([(0, 1, 1.0), (5, 6, 1.0)], marked=0)
 
 
+# bonds that leave a vertex the BFS from the marked vertex 0 cannot reach
+@pytest.mark.parametrize(
+    "bonds",
+    [
+        [(0, 1, 1.0), (5, 6, 1.0)],
+        [(0, 2**40, 1.0), (-5, 3, 1.0)],                # the sort path
+        [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (7, 8, 1.0), (8, 9, 1.0)],
+        [(3, 4, 1.0), (-1, 0, 1.0)],                    # the marked part is the later one
+    ],
+)
+def test_every_constructor_refuses_a_graph_the_marked_bfs_does_not_cover(bonds):
+    u, v, c = (list(col) for col in zip(*bonds))
+    header = f"# marked=0 window={min(u + v)},{max(u + v)}\n"
+    text = header + "".join(f"{a} {b} {w}\n" for a, b, w in bonds)
+    for build in (lambda: Graph(bonds, marked=0), lambda: Graph.from_arrays(u, v, c, marked=0),
+                  lambda: loads_edge_list(text)):
+        with pytest.raises(InvalidArgumentError, match="graph must be connected"):
+            build()
+
+
+@pytest.mark.parametrize("marked", [0, 37, -64])
+def test_construction_caches_the_hop_distances_from_marked(monkeypatch, marked):
+    lrp = generate.generate_long_range(LongRangeParams(128, 1.0, 3.5, seed=7))
+    g = Graph.from_arrays(lrp.labels[lrp.bond_u], lrp.labels[lrp.bond_v], lrp.bond_c,
+                          marked=marked, truncated=True)
+    calls = []
+    real = graph_module.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["indices"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "dijkstra", counted)
+    hops = g.distances_from(marked, "graph")
+    assert calls == []
+    fresh = real(g.adjacency(), indices=g.index(marked), unweighted=True)
+    assert hops.dtype == np.int64 and np.array_equal(hops, fresh)
+    # the BFS from another vertex is run once, then cached
+    g.distances_from(1, "graph")
+    g.distances_from(1, "graph")
+    assert calls == [g.index(1)]
+
+
 def test_rejects_measure_below_one():
     # parallel bonds add: two 0.5 bonds give measure 1, two 0.25 bonds 0.5
     assert Graph([(0, 1, 0.5), (1, 0, 0.5)], marked=0).measure.tolist() == [1.0, 1.0]
@@ -88,6 +135,64 @@ def test_indices_name_the_first_missing_label(labels, missing):
     g = Graph([(-3, 0, 1.0), (0, 5, 1.0), (5, 9, 1.0)], marked=0)
     with pytest.raises(InvalidArgumentError, match=f"vertex {missing} is not"):
         g.indices(labels)
+
+
+# label sets about a center, each label within `spread` of it: a small spread
+# takes the presence map, a wide one the sort; the centers put some sets near
+# +-2^62 and the int64 ends, and a set may mix labels about two centers, whose
+# span (near 2^63 for -2^62 and 2^62) is past what int64 can hold
+_CENTERS = [0, -(2**62), 2**62, INT64.min + 50, INT64.max - 50]
+
+
+@st.composite
+def _label_sets(draw):
+    ends = []
+    for center in draw(st.lists(st.sampled_from(_CENTERS), min_size=1, max_size=2)):
+        spread = draw(st.sampled_from([3, 60, 10**6]))
+        offsets = draw(st.lists(st.integers(-spread, spread), min_size=1, max_size=40))
+        ends += [min(max(center + d, INT64.min), INT64.max) for d in offsets]
+    return np.asarray(draw(st.permutations(ends)), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_label_sets())
+def test_distinct_labels_are_numpys_unique(ends):
+    want = np.unique(ends)
+    got = graph_module._distinct(ends.copy())
+    assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+    # the same labels through a graph: a path visits them in the drawn order
+    if want.size > 1:
+        path = [int(x) for x in dict.fromkeys(ends.tolist())]
+        g = Graph.from_arrays(path[:-1], path[1:], np.ones(len(path) - 1), marked=path[0])
+        assert g.labels.tobytes() == want.tobytes()
+        assert g.window == (int(want[0]), int(want[-1]))
+
+
+def _sorted_distinct(ends):
+    """Distinct labels by a sorted copy and a mask of its steps."""
+    ends = np.sort(ends)
+    return ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        out = call(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("span_per_end", [0.5, 1, 7.9, 8.1, 1000])
+def test_distinct_labels_take_no_more_memory_than_a_sorted_copy(span_per_end):
+    # the presence map spans at most 8 values per end, so that its bytes stay
+    # within the 8 per end of a sorted copy; past that, the ends are sorted
+    rng = np.random.default_rng(3)
+    ends = rng.integers(-50, int(span_per_end * 20_000) - 50, size=20_000)
+    want, sort_peak = _traced_peak(_sorted_distinct, ends.copy())
+    got, peak = _traced_peak(graph_module._distinct, ends.copy())
+    assert got.tobytes() == want.tobytes()
+    assert peak <= sort_peak
 
 
 def _searchsorted_indices(labels, wanted):

@@ -183,8 +183,8 @@ def test_snapshot_bounds_are_checked(line64):
 
 def test_kernel_memory_stays_on_the_light_cone():
     # 64 steps reach a few hundred of the 131073 vertices; the kernel allocates
-    # no window-length float or index array (scipy's column selection of the
-    # cone takes one int32 per vertex)
+    # no window-length float or index array, only the cone's boolean mask over
+    # the cached hop distances (one byte per vertex)
     g = generate_long_range(LongRangeParams(2**16, 1.0, 3.5, seed=7))
     g.distances_from(0)
     tracemalloc.start()
@@ -193,7 +193,24 @@ def test_kernel_memory_stays_on_the_light_cone():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * g.n_vertices
+    assert peak < 2 * g.n_vertices
+
+
+@pytest.mark.parametrize(
+    "g, horizon",
+    [(generate_long_range(LongRangeParams(2048, 1.0, 2.2, seed=1)), 300),
+     (generate_long_range(LongRangeParams(2048, 1.0, 3.5, seed=2)), 4097),
+     (fixture("binary_tree", 7), 4), (fixture("cycle", 30), 40), (fixture("parallel_pair"), 2)],
+    ids=["lrp-s2.2", "lrp-s3.5-whole", "tree", "cycle", "pair"],
+)
+def test_cone_block_is_scipys_selection_byte_for_byte(g, horizon):
+    cone, _ = walk._light_cone(g, g.marked, horizon)
+    want = g.adjacency()[cone][:, cone]
+    got = walk._cone_block(g, cone)
+    assert got.shape == want.shape
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 def test_boundary_contact_counts_escaped_mass():
