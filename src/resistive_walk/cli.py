@@ -92,8 +92,7 @@ def _cmd_heatkernel(args: argparse.Namespace) -> int:
     check_int(args.steps, "heat kernel horizon --steps", 2)
     table = heat_kernel_exact(g, g.marked, args.steps + 1)
     write_csv(sys.stdout, "n,p2n,f_n,boundary_mass",
-              ((n, table.origin_series[2 * n], table.smoothed(2 * n), table.boundary_contact[2 * n])
-               for n in range(args.steps // 2 + 1)))
+              ((n, *table.row(2 * n)) for n in range(args.steps // 2 + 1)))
     return 0
 
 

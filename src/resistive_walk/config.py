@@ -60,16 +60,9 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected true or false, got {raw!r}")
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    if not raw:
-        return ()
-    return tuple(int(tok) for tok in raw.split(","))
-
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    if not raw:
-        return ()
-    return tuple(float(tok) for tok in raw.split(","))
+def _tuple_parser(item: type):
+    """The parser of a comma-separated tuple of `item` values; empty text is ()."""
+    return lambda raw: tuple(map(item, raw.split(","))) if raw else ()
 
 
 def format_value(value) -> str:
@@ -101,8 +94,8 @@ _PARSERS = {
     int: int,
     float: float,
     bool: _parse_bool,
-    tuple[int, ...]: _parse_int_list,
-    tuple[float, ...]: _parse_float_list,
+    tuple[int, ...]: _tuple_parser(int),
+    tuple[float, ...]: _tuple_parser(float),
 }
 
 

@@ -76,11 +76,11 @@ def dense_heat_kernel(g: Graph, origin: int, n_steps: int) -> np.ndarray:
     return np.asarray(rows)
 
 
-def dense_green(g: Graph, domain: Sequence[int], x: int) -> np.ndarray:
-    """Killed Green kernel row g_B(x, .) over `domain`, via the fundamental matrix.
+def _killed_chain(g: Graph, domain: Sequence[int], x: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(I - Q, mu on the domain, the position of x in it) for the walk killed on
+    leaving `domain`, Q being its transition matrix restricted to the domain.
 
-    Entry j is the expected number of visits to domain[j] before leaving
-    the domain, started at x, divided by mu at domain[j].
+    The domain must be a proper subset of the vertices, without repeats, holding x.
     """
     _guard(g)
     idx = [g.index(d) for d in domain]
@@ -93,21 +93,20 @@ def dense_green(g: Graph, domain: Sequence[int], x: int) -> np.ndarray:
     W = _dense_weights(g)
     mu = W.sum(axis=1)
     Q = (W / mu[:, None])[np.ix_(idx, idx)]
-    fundamental = np.linalg.inv(np.eye(len(idx)) - Q)
-    row = fundamental[idx.index(g.index(x))]
-    return row / mu[idx]
+    return np.eye(len(idx)) - Q, mu[idx], idx.index(g.index(x))
+
+
+def dense_green(g: Graph, domain: Sequence[int], x: int) -> np.ndarray:
+    """Killed Green kernel row g_B(x, .) over `domain`, via the fundamental matrix.
+
+    Entry j is the expected number of visits to domain[j] before leaving
+    the domain, started at x, divided by mu at domain[j].
+    """
+    killed, mu, at = _killed_chain(g, domain, x)
+    return np.linalg.inv(killed)[at] / mu
 
 
 def dense_mean_exit(g: Graph, domain: Sequence[int], x: int) -> float:
     """Expected exit time from `domain` started at x, via the fundamental matrix."""
-    _guard(g)
-    idx = [g.index(d) for d in domain]
-    if g.index(x) not in idx:
-        raise InvalidArgumentError("x must lie in the domain")
-    if len(idx) == g.n_vertices:
-        raise InvalidArgumentError("domain must be a proper subset")
-    W = _dense_weights(g)
-    mu = W.sum(axis=1)
-    Q = (W / mu[:, None])[np.ix_(idx, idx)]
-    times = np.linalg.solve(np.eye(len(idx)) - Q, np.ones(len(idx)))
-    return float(times[idx.index(g.index(x))])
+    killed, _, at = _killed_chain(g, domain, x)
+    return float(np.linalg.solve(killed, np.ones(len(killed)))[at])

@@ -180,12 +180,7 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
     contaminated_from = None
     if config.time_grid:
         table = heat_kernel_exact(g, origin, max(config.time_grid) + 1)
-        kernel = np.array(
-            [
-                (table.origin_series[t], table.smoothed(t), table.boundary_contact[t])
-                for t in config.time_grid
-            ]
-        )
+        kernel = np.array([table.row(t) for t in config.time_grid])
         contaminated_from = table.contaminated_from
         stats = simulate(g, origin, max(config.time_grid), config.n_trajectories,
                          walk_seed(config.master_seed, index), radii=config.mc_exit_radii,
@@ -202,10 +197,9 @@ def member_observables(config: ExperimentConfig, index: int) -> dict:
             ]
         )
         disp_matrix = stats.displacement.astype(np.int32)
-        for j in range(len(config.mc_exit_radii)):
-            live = ~stats.censored[:, j]
-            mean = float(stats.exit_time[live, j].mean()) if live.any() else None
-            mc_exit.append((mean, int(stats.censored[:, j].sum())))
+        for R, censored in zip(config.mc_exit_radii, stats.censored.sum(axis=0).tolist()):
+            mean = stats.mean_exit_time(R) if censored < config.n_trajectories else None
+            mc_exit.append((mean, censored))
 
     return {
         "index": index,

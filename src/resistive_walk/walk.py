@@ -76,6 +76,11 @@ class HeatKernelTable:
         n = check_int(n, "n", 0, self.horizon - 1)
         return float(self.origin_series[n] + self.origin_series[n + 1])
 
+    def row(self, n: int) -> tuple[float, float, float]:
+        """(p_n, p_n + p_{n+1}, boundary contact at n): one row of the kernel tables."""
+        smoothed = self.smoothed(n)  # checks n before the other reads
+        return float(self.origin_series[n]), smoothed, float(self.boundary_contact[n])
+
 
 def _light_cone(g: Graph, origin: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """(cone, reach): the vertex indices within `horizon` hops of `origin` in
@@ -210,10 +215,6 @@ class WalkStatistics:
     range_weight: np.ndarray       # (n_traj, n_grid) measure of visited set
     range_size: np.ndarray         # (n_traj, n_grid) visited vertex count
     endpoint: np.ndarray           # (n_traj, n_grid) vertex labels
-
-    @property
-    def n_trajectories(self) -> int:
-        return self.exit_time.shape[0]
 
     def mean_exit_time(self, radius: int) -> float:
         """Mean exit time over the trajectories that exited by the horizon."""

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import resistive_walk
-from resistive_walk import pipeline
+from resistive_walk import cli, pipeline
 from resistive_walk.cli import main
-from resistive_walk.config import load_config
+from resistive_walk.config import PRESET_NAMES, load_config, load_preset
 from resistive_walk.generate import (
     ExpTailParams,
     LongRangeParams,
@@ -373,3 +374,17 @@ def test_run_outputs_do_not_depend_on_the_directory(tmp_path):
 def test_bad_label_list(line_file, capsys):
     assert main(["resistance", str(line_file), "--source", "a",
                  "--target", "1"]) == 2
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_run_loads_a_preset_by_name(tmp_path, monkeypatch, name):
+    seen = []
+
+    def fake_run(config, outdir):
+        seen.append(config)
+        return SimpleNamespace(path=outdir, wallclock_seconds=0.0, workers=1)
+
+    monkeypatch.chdir(tmp_path)  # no file here shares the preset's name
+    monkeypatch.setattr(cli, "run_pipeline", fake_run)
+    assert main(["run", name, "--outdir", "out"]) == 0
+    assert seen == [load_preset(name)]

@@ -65,6 +65,10 @@ def test_bad_bool():
         parse_config("name = x\nmodel = lrp\nhalf_width = 8\nstore_graphs = yes\n")
 
 
+def test_store_graphs_true_parses():
+    assert parse_config("name = x\nmodel = lrp\nhalf_width = 8\nstore_graphs = true\n").store_graphs
+
+
 BASE = "name = x\nmodel = lrp\nhalf_width = 64\ntail_exponent = 3.5\n"
 
 
@@ -90,11 +94,16 @@ BASE = "name = x\nmodel = lrp\nhalf_width = 64\ntail_exponent = 3.5\n"
         ("n_trajectories = 99999999999999999999\n", "n_trajectories must fit in a 64-bit"),
         ("radius_grid = 0,4\n", "radius_grid entries must be at least 1"),
         ("n_trajectories = 0\n", "n_trajectories must be at least 1"),
+        ("master_seed = -1\n", "master_seed must be nonnegative"),
+        ("radius_grid 4,8\n", "line 5: expected 'key = value'"),
+        ("name =\n", "name must be nonempty"),
     ],
 )
 def test_validation_failures(extra, message):
+    # a repeated key is refused first, so an empty name replaces BASE's
+    base = BASE.replace("name = x\n", "") if extra.startswith("name") else BASE
     with pytest.raises(ConfigError, match=message):
-        parse_config(BASE + extra)
+        parse_config(base + extra)
 
 
 def test_model_specific_requirements():

@@ -73,3 +73,19 @@ def test_size_guard():
     g = fixture("line", MAX_VERTICES)
     with pytest.raises(InvalidArgumentError, match="oracle"):
         dense_resistance(g, [0], [1])
+
+
+@pytest.mark.parametrize("reference", [dense_green, dense_mean_exit])
+@pytest.mark.parametrize(
+    "domain, x, message",
+    [
+        ([-1, 0, 0, 1], 0, "repeated vertices"),
+        ([-1, 0, 1], 2, "x must lie in the domain"),
+        (None, 0, "proper subset"),  # every vertex of the graph
+    ],
+)
+def test_killed_chain_references_refuse_bad_domains(reference, domain, x, message):
+    g = fixture("line", 8)
+    domain = g.labels.tolist() if domain is None else domain
+    with pytest.raises(InvalidArgumentError, match=message):
+        reference(g, domain, x)

@@ -30,7 +30,7 @@ from resistive_walk.pipeline import (
 )
 from resistive_walk.resistance import effective_resistance
 from resistive_walk.scaling import evaluate_good_scale
-from resistive_walk.walk import mean_exit_time_exact
+from resistive_walk.walk import mean_exit_time_exact, simulate
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +248,21 @@ def test_a_run_whose_summary_fails_writes_nothing(mini_config, tmp_path, monkeyp
     with pytest.raises(InvalidArgumentError, match="no summary"):
         run(with_overrides(mini_config, ensemble=1), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_walk_exit_mean_is_empty_where_every_trajectory_is_censored(tmp_path):
+    # 8 steps cannot reach distance 16, so every trajectory is censored there
+    config = parse_config("name = x\nmodel = fixture\nfixture_name = line\nfixture_size = 64\n"
+                          "radius_grid = 2,16\ntime_grid = 8\nmc_exit_radii = 2,16\n"
+                          "n_trajectories = 8\n")
+    record = run(config, tmp_path / "censored")
+    stats = simulate(build_graph(config, 0), 0, 8, 8, walk_seed(config.master_seed, 0),
+                     radii=(2, 16), time_grid=(8,), metric="line")
+    mean, censored = stats.mean_exit_time(2), int(stats.censored[:, 0].sum())
+    assert (record.path / "observables" / "walk_exit.csv").read_text() == (
+        f"graph,R,mc_mean_exit,censored,trajectories\n0,2,{mean!r},{censored},8\n0,16,,8,8\n"
+    )
+    assert [row["mc_mean"] for row in record.summary["mc_exit"]] == [mean, None]
 
 
 def test_run_without_goodscale_radii_writes_header_only_files(mini_config, tmp_path):

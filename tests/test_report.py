@@ -41,6 +41,15 @@ def test_digest_mentions_theta_star(run_dir):
     assert "boundary contact" in text
 
 
+def test_digest_prints_a_computed_fit(tmp_path):
+    # E[exit] from the line ball of radius R is R^2, and 8 radii are enough to fit
+    config = parse_config("name = fit\nmodel = fixture\nfixture_name = line\n"
+                          "fixture_size = 64\nradius_grid = 1,2,3,4,5,6,7,8\n")
+    text = (report(run(config, tmp_path / "fit").path) / "summary.txt").read_text()
+    assert ("exit-time exponent: 2.0000 +- 0.0000 (window [1, 8], 8 points; "
+            "all points 2.0000 +- 0.0000)\n") in text
+
+
 def test_report_needs_summary(tmp_path):
     with pytest.raises(InvalidArgumentError, match="summary.json"):
         report(tmp_path)

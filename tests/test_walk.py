@@ -178,7 +178,10 @@ def test_snapshot_bounds_are_checked(line64):
     for bad in (2.5, -1, 4):
         with pytest.raises(InvalidArgumentError):
             table.smoothed(bad)
+        with pytest.raises(InvalidArgumentError):
+            table.row(bad)
     assert table.smoothed(2.0) == table.smoothed(2)
+    assert table.row(2) == (table.origin_series[2], table.smoothed(2), table.boundary_contact[2])
 
 
 def test_kernel_memory_stays_on_the_light_cone():
