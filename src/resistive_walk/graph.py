@@ -73,6 +73,13 @@ def _distinct(ends: np.ndarray) -> np.ndarray:
     return ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
 
 
+def _row_sums(matrix: csr_matrix) -> np.ndarray:
+    """Row sums of a CSR matrix none of whose rows is empty, bit for bit as
+    `matrix.sum(axis=1)` adds them (one reduceat over the rows' stored
+    entries), without its pass to find the empty rows."""
+    return np.add.reduceat(matrix.data, matrix.indptr[:-1])
+
+
 def _check_metric(metric: str) -> str:
     if metric not in METRICS:
         raise InvalidArgumentError(f"unknown metric {metric!r}, expected one of {METRICS}")
@@ -115,10 +122,14 @@ class Graph:
     connected when the unweighted hop BFS from `marked` reaches every
     vertex; those hop distances are kept as `distances_from(marked,
     "graph")`, which the kernel, the walk and graph-metric balls about the
-    marked vertex read without a second traversal.  `indices` guesses each
-    label's position as label - labels[0], which is right on contiguous
-    labels such as a window's, and binary-searches only the guesses that
-    miss; the bond ends are looked up the same way when the graph is built.
+    marked vertex read without a second traversal.  `indices` takes a
+    label's offset label - labels[0] as its index on contiguous labels such
+    as a window's, checking only the offsets' range, and binary-searches
+    the offsets that miss on other labels; the bond ends are looked up the
+    same way when the graph is built.  `adjacency_block` cuts rows x columns
+    out of W as scipy's fancy indexing does, at a cost that follows the
+    rows when they are few: every Laplacian block and coupling of the
+    solvers, and the kernel's light-cone matrix, is cut out by it.
     """
 
     __slots__ = (
@@ -201,7 +212,7 @@ class Graph:
             ),
             shape=(n, n),
         )
-        mu = np.asarray(self._adjacency.sum(axis=1)).ravel()
+        mu = _row_sums(self._adjacency)
         mu.flags.writeable = False
         if np.any(mu < 1.0):
             raise InvalidArgumentError("every vertex must have measure >= 1")
@@ -225,27 +236,41 @@ class Graph:
     def indices(self, labels: Sequence[int]) -> np.ndarray:
         """Vertex indices of `labels`, in the given order (duplicates kept).
 
-        Each position is first guessed as label - labels[0], which is right
-        for every label of a contiguous label range; only the guesses that
-        miss are binary-searched.  Every result is checked against the
-        labels, and the first label that is absent raises.
+        A label's index is guessed as its offset label - labels[0].  On
+        contiguous labels, such as a window's, the guess is the index, and one
+        range check of the offsets finds any label that is absent.  Otherwise
+        only the guesses that miss are binary-searched.  Integer labels are
+        compared exactly as int64; unsigned ones above the int64 maximum are
+        never in the graph.  The first label that is absent, in the given
+        order, raises.
         """
-        wanted = np.asarray(labels).reshape(-1)
+        given = np.asarray(labels).reshape(-1)
+        wanted, beyond = given, None
+        if given.dtype.kind == "u" and not np.can_cast(given.dtype, np.int64):
+            beyond = given > INT64.max
+            wanted = given.astype(np.int64)  # wraps the labels beyond, found absent below
         last = self.labels.size - 1
-        if np.can_cast(wanted.dtype, np.int64):
-            idx = wanted.astype(np.int64) - self.labels[0]
-            np.clip(idx, 0, last, out=idx)
-            miss = np.flatnonzero(self.labels[idx] != wanted)
-        else:
+        found = None  # None: every label is present
+        if not np.can_cast(wanted.dtype, np.int64):
             # no exact integer offset for this dtype: search every label
-            idx = np.zeros(wanted.size, dtype=np.int64)
-            miss = np.arange(wanted.size)
-        if miss.size:
-            idx[miss] = np.minimum(np.searchsorted(self.labels, wanted[miss]), last)
-            found = self.labels[idx[miss]] == wanted[miss]
-            if not found.all():
-                missing = wanted[miss[np.argmin(found)]]
-                raise InvalidArgumentError(f"vertex {missing} is not in the graph")
+            idx = np.minimum(np.searchsorted(self.labels, wanted), last)
+            found = self.labels[idx] == wanted
+        else:
+            idx = np.subtract(wanted, self.labels[0], dtype=np.int64)
+            if self.is_line_labeled():
+                if idx.size and not (idx.min() >= 0 and idx.max() <= last):
+                    found = (idx >= 0) & (idx <= last)
+            else:
+                np.clip(idx, 0, last, out=idx)
+                miss = np.flatnonzero(self.labels[idx] != wanted)
+                if miss.size:
+                    idx[miss] = np.minimum(np.searchsorted(self.labels, wanted[miss]), last)
+                    found = np.ones(idx.size, dtype=bool)
+                    found[miss] = self.labels[idx[miss]] == wanted[miss]
+        if beyond is not None and beyond.any():
+            found = ~beyond if found is None else found & ~beyond
+        if found is not None and not found.all():
+            raise InvalidArgumentError(f"vertex {given[np.argmin(found)]} is not in the graph")
         return idx
 
     def bonds(self) -> Iterator[tuple[int, int, float]]:
@@ -262,6 +287,31 @@ class Graph:
         """Merged weighted adjacency W (scipy CSR); parallel conductances add."""
         return self._adjacency
 
+    def adjacency_block(self, rows: np.ndarray, cols: np.ndarray) -> csr_matrix:
+        """W at vertex indices `rows` x `cols`, byte for byte as scipy's
+        `adjacency()[rows][:, cols]` gives it: rows and columns in the given
+        orders, each row's entries in their stored order.  `cols` are distinct.
+
+        Scipy maps columns through a position map with one entry per vertex.
+        That map is used here too when the selected rows hold many entries:
+        their count times log2 |cols| reaches the vertex count, as for a
+        grounded window.  Otherwise, as for a ball in a wide window, each
+        entry's column is found by a binary search of the sorted `cols`, so
+        the block costs what its rows hold, not what the window holds.
+        """
+        adj = self._adjacency
+        entries = int(np.sum(adj.indptr[rows + 1] - adj.indptr[rows]))
+        if not len(cols) or entries * np.log2(max(len(cols), 2)) >= self.n_vertices:
+            return adj[rows][:, cols]
+        picked = adj[rows]
+        order = np.argsort(cols)
+        ends = cols[order]
+        at = np.minimum(np.searchsorted(ends, picked.indices), ends.size - 1)
+        keep = ends[at] == picked.indices
+        indptr = np.concatenate([[0], np.cumsum(keep)])[picked.indptr]
+        return csr_matrix((picked.data[keep], order[at[keep]], indptr),
+                          shape=(len(rows), len(cols)))
+
     def _bfs_hops(self, start_index: int) -> np.ndarray:
         """Hop distances from one vertex index; a vertex the BFS cannot reach, at
         distance inf, means the graph is not connected and is refused."""
@@ -274,7 +324,7 @@ class Graph:
 
     def is_line_labeled(self) -> bool:
         """Labels form a contiguous integer interval."""
-        return int(self.labels[-1] - self.labels[0]) == self.n_vertices - 1
+        return int(self.labels[-1]) - int(self.labels[0]) == self.n_vertices - 1
 
     def distances_from(self, center: int, metric: str = "graph") -> np.ndarray:
         """Distance from `center` to every vertex, aligned with `labels`."""

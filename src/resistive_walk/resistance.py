@@ -50,9 +50,12 @@ def _grounded_solver(
     the solution, its largest relative residual and the number of solves
     with the factor: 2 if the refinement step was needed, else 1.  It checks
     all it solved with one residual; callers keep blocks narrow
-    (`pair_resistance` passes at most `_CHECK_COLUMNS` columns).
+    (`pair_resistance` passes at most `_CHECK_COLUMNS` columns).  The block
+    is cut out by `Graph.adjacency_block`: a ball's few rows are found by
+    binary search, at a cost that follows the ball, and a grounded window's
+    through scipy's position map over the window.
     """
-    lap = (diags(g.measure[free]) - g.adjacency()[free][:, free]).tocsc()
+    lap = (diags(g.measure[free]) - g.adjacency_block(free, free)).tocsc()
     try:
         lu = splu(lap)
     except RuntimeError as exc:
@@ -103,31 +106,47 @@ def _value_at(labels: np.ndarray, values: np.ndarray, label: int, where: str) ->
 
 
 def _set_masks(g: Graph, A: Sequence[int], B: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex masks of A and B, checked to be nonempty and disjoint."""
-    in_a = np.zeros(g.n_vertices, dtype=bool)
-    in_b = np.zeros(g.n_vertices, dtype=bool)
-    in_a[g.indices(A)] = True
-    in_b[g.indices(B)] = True
-    if not in_a.any() or not in_b.any():
+    """(a, off_b): the sorted distinct vertex indices of A and the vertex mask
+    of those not in B.  A and B are checked to be nonempty and disjoint on
+    their index arrays."""
+    a, b = g.indices(A), g.indices(B)
+    if not a.size or not b.size:
         raise InvalidArgumentError("A and B must be nonempty")
-    if np.any(in_a & in_b):
+    off_b = np.ones(g.n_vertices, dtype=bool)
+    off_b[b] = False
+    if not off_b[a].all():
         raise InvalidArgumentError("A and B must be disjoint")
-    return in_a, in_b
+    return np.unique(a), off_b
 
 
 def dirichlet_potential(g: Graph, A: Sequence[int], B: Sequence[int]) -> Potential:
-    """Unit-voltage potential between vertex sets A (held at 1) and B (at 0)."""
-    in_a, in_b = _set_masks(g, A, B)
-    f = in_a.astype(float)
-    interior = np.flatnonzero(~(in_a | in_b))
+    """Unit-voltage potential between vertex sets A (held at 1) and B (at 0).
+
+    The potential is 0 on B, so only the bonds with an end off B can carry
+    current, and the free vertices, those off A and B, are their ends.  The
+    solve works on those rows alone: the factor and the coupling to A are
+    cut out with `Graph.adjacency_block`, whose cost follows the rows, so a
+    small A and interior cost little more than one pass over B's labels and
+    one over the bond ends.  The energy terms of the bonds with an end off B
+    are scattered into zeros, one per bond, and summed as one array in bond
+    order: each other term is exactly 0.0, so the sum is that of every term.
+    """
+    a, off_b = _set_masks(g, A, B)
+    live = np.flatnonzero(off_b[g.bond_u] | off_b[g.bond_v])
+    live_u, live_v = g.bond_u[live], g.bond_v[live]
+    off_b[a] = False  # from here it marks the free vertices, off A and B
+    ends = np.concatenate([live_u, live_v])
+    interior = np.unique(ends[off_b[ends]])
+    f = np.zeros(g.n_vertices)
+    f[a] = 1.0
     residual, steps = 0.0, 0
     if interior.size:
-        coupling = g.adjacency()[interior][:, np.flatnonzero(in_a)]
-        rhs = np.asarray(coupling.sum(axis=1)).ravel()
+        rhs = np.asarray(g.adjacency_block(interior, a).sum(axis=1)).ravel()
         f[interior], residual, steps = _grounded_solver(g, interior)(rhs)
-    df = f[g.bond_u] - f[g.bond_v]
-    energy = float(np.sum(g.bond_c * df * df))
-    return Potential(g.labels, f, energy, steps, residual)
+    df = f[live_u] - f[live_v]
+    terms = np.zeros(g.n_bonds)
+    terms[live] = g.bond_c[live] * df * df
+    return Potential(g.labels, f, float(np.sum(terms)), steps, residual)
 
 
 def effective_resistance(g: Graph, A: Sequence[int], B: Sequence[int]) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import diags
 
 from .errors import InvalidArgumentError, SolverError
 from .generate import mix_seed
@@ -93,20 +93,6 @@ def _light_cone(g: Graph, origin: int, horizon: int) -> tuple[np.ndarray, np.nda
     return cone, np.cumsum(np.bincount(cone_hops, minlength=horizon + 1))
 
 
-def _cone_block(g: Graph, cone: np.ndarray) -> csr_matrix:
-    """The adjacency's rows and columns at `cone`, in cone order, as scipy's
-    `adj[cone][:, cone]` gives them, each row's entries in their stored order;
-    columns outside the cone are dropped.  The columns are found by a binary
-    search of the sorted cone, so no window-length array is made."""
-    rows = g.adjacency()[cone]
-    order = np.argsort(cone)
-    ends = cone[order]
-    at = np.minimum(np.searchsorted(ends, rows.indices), cone.size - 1)
-    keep = ends[at] == rows.indices
-    indptr = np.concatenate([[0], np.cumsum(keep)])[rows.indptr]
-    return csr_matrix((rows.data[keep], order[at[keep]], indptr), shape=(cone.size, cone.size))
-
-
 def heat_kernel_exact(
     g: Graph,
     origin: int,
@@ -129,8 +115,11 @@ def heat_kernel_exact(
     runs over the reach[t] prefix, so its bits depend on t alone.  Memory is
     O(cone + its bonds) on top of the graph and its cached hop distances,
     plus a window-length row per snapshot: the cone is cut out of the
-    adjacency by `_cone_block`, and the only other window-length array is
-    the one-byte-per-vertex mask that `_light_cone` selects the cone with.
+    adjacency by `Graph.adjacency_block`, which maps the cone's columns by
+    binary search unless the cone's entries times log2 of its size reach
+    the vertex count, and only then makes scipy's position map, one int32
+    per vertex; the only other window-length array is the
+    one-byte-per-vertex mask that `_light_cone` selects the cone with.
     """
     n_steps = check_int(n_steps, "n_steps", 0)
     wanted = {check_int(s, "snapshot step", 0, n_steps) for s in snapshots}
@@ -147,7 +136,7 @@ def heat_kernel_exact(
 
     cone, reach = _light_cone(g, origin, last)
     mu = g.measure[cone]
-    matrix = (_cone_block(g, cone) @ diags(1.0 / mu)).tocsr()
+    matrix = (g.adjacency_block(cone, cone) @ diags(1.0 / mu)).tocsr()
     edge = np.flatnonzero((cone == 0) | (cone == n - 1)) if g.truncated else []
 
     k, block = 0, None

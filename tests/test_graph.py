@@ -137,6 +137,35 @@ def test_indices_name_the_first_missing_label(labels, missing):
         g.indices(labels)
 
 
+@pytest.mark.parametrize("labels, missing", [([0, 70, -70], 70), ([-65, 3], -65), ([64, 65, -64], 65)])
+def test_contiguous_indices_name_the_first_missing_label(labels, missing):
+    g = fixture("line", 64)
+    assert g.is_line_labeled()
+    for wanted in (labels, np.asarray(labels)):
+        with pytest.raises(InvalidArgumentError, match=f"vertex {missing} is not"):
+            g.indices(wanted)
+
+
+@pytest.mark.parametrize("gaps", [(1, 1, 1), (1, 5, 3)], ids=["contiguous", "gapped"])
+def test_uint64_labels_past_float_precision_are_looked_up_exactly(gaps):
+    b = 2**62
+    ends = np.cumsum((b,) + gaps).tolist()
+    g = Graph.from_arrays(ends[:-1], ends[1:], np.ones(3), marked=b)
+    for k, label in enumerate(ends):
+        assert g.indices(np.array([label], dtype=np.uint64)).tolist() == [k]
+    assert g.indices(np.array(ends[::-1], dtype=np.uint64)).tolist() == [3, 2, 1, 0]
+    # labels above the int64 maximum are never present; the first absent one is named
+    for wanted, missing in (([ends[1], 2**63 + 1, ends[0] + 2], 2**63 + 1),
+                            ([ends[1], b - 1, 2**64 - 1], b - 1),
+                            ([2**63 + b], 2**63 + b)):
+        with pytest.raises(InvalidArgumentError, match=f"vertex {missing} is not"):
+            g.indices(np.array(wanted, dtype=np.uint64))
+    # 2^63 + 1 wraps to the int64 label -2^63 + 1 when cast, yet is not that label
+    h = Graph.from_arrays([-(2**63) + 1], [0], [1.0], marked=0)
+    with pytest.raises(InvalidArgumentError, match=f"vertex {2**63 + 1} is not"):
+        h.indices(np.array([2**63 + 1], dtype=np.uint64))
+
+
 # label sets about a center, each label within `spread` of it: a small spread
 # takes the presence map, a wide one the sort; the centers put some sets near
 # +-2^62 and the int64 ends, and a set may mix labels about two centers, whose
@@ -643,3 +672,65 @@ def test_from_arrays_keeps_its_own_conductances():
     g = Graph.from_arrays(np.array([0, 1]), np.array([1, 2]), c, marked=0)
     c[:] = 5.0
     assert g.bond_c.tolist() == [1.0, 2.0]
+
+
+# -- blocks of the merged adjacency ------------------------------------------
+
+
+@st.composite
+def _block_cases(draw):
+    """A random multigraph (a path plus random bonds, some of them parallel,
+    in both orientations) and a row list (repeats allowed) and a distinct column
+    list of vertex indices, the columns sorted or shuffled."""
+    n = draw(st.integers(2, 400))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=40))
+    parallel = draw(st.lists(st.integers(0, n - 2), max_size=6))
+    u = list(range(n - 1)) + [e[0] for e in extra] + [i + 1 for i in parallel]
+    v = list(range(1, n)) + [e[1] for e in extra] + parallel
+    c = draw(st.lists(st.floats(1.0, 4.0), min_size=len(u), max_size=len(u)))
+    g = Graph.from_arrays(u, v, c, marked=0)
+    index = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        # a few rows: their entries are few beside the window, so the columns are searched
+        rows = draw(st.lists(index, max_size=4))
+        cols = draw(st.lists(index, max_size=n, unique=True))
+    else:
+        # every row, some twice: the columns go through the position map
+        rows = draw(st.permutations(range(n))) + draw(st.lists(index, max_size=8))
+        cols = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    if draw(st.booleans()):
+        cols.sort()
+    return g, rows, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_cases())
+def test_adjacency_block_is_scipys_selection_byte_for_byte(case):
+    g, rows, cols = case
+    want = g.adjacency()[rows][:, cols]
+    got = g.adjacency_block(rows, cols)
+    assert got.shape == want.shape
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def test_adjacency_block_takes_each_branch(monkeypatch):
+    """A ball's rows in a long window are searched; a grounded window is mapped by scipy."""
+    g = fixture("line", 4096)
+    searched = []
+    real = np.searchsorted
+
+    def spy(a, v, *args, **kwargs):
+        searched.append(np.size(v))
+        return real(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    ball = np.arange(4090, 4103)
+    g.adjacency_block(ball, ball)
+    assert searched == [26]
+    keep = np.delete(np.arange(g.n_vertices), 4096)
+    g.adjacency_block(keep, keep)
+    assert searched == [26]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from resistive_walk import graph as graph_module
 from resistive_walk import pipeline
 from resistive_walk.config import parse_config, with_overrides
 from resistive_walk.errors import ConfigError, InvalidArgumentError, TruncationError
@@ -121,23 +122,29 @@ def test_member_observables_are_reproducible(mini_config):
 
 
 def test_member_computes_the_weighted_degree_once(mini_config, monkeypatch):
-    graphs, row_sums = [], []
-    real_build, real_sum = pipeline.build_graph, csr_matrix.sum
+    graphs, row_sums, scipy_sums = [], [], []
+    real_build, real_row_sums, real_sum = pipeline.build_graph, graph_module._row_sums, csr_matrix.sum
 
     def build(config, index):
         graphs.append(real_build(config, index))
         return graphs[-1]
 
+    def spy_row_sums(matrix):
+        row_sums.append(matrix)
+        return real_row_sums(matrix)
+
     def spy_sum(self, *args, **kwargs):
-        row_sums.append(self)
+        scipy_sums.append(self)
         return real_sum(self, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "build_graph", build)
+    monkeypatch.setattr(graph_module, "_row_sums", spy_row_sums)
     monkeypatch.setattr(csr_matrix, "sum", spy_sum)
     member_observables(mini_config, 0)
     (g,) = graphs
     # complement and exit solves, exit-time reads, pointwise factor, kernel, walk
     assert sum(m is g.adjacency() for m in row_sums) == 1
+    assert not any(m is g.adjacency() for m in scipy_sums)
     assert g.measure.tobytes() == np.asarray(real_sum(g.adjacency(), axis=1)).ravel().tobytes()
     with pytest.raises(ValueError, match="read-only"):
         g.measure[0] = 1.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import diags
+from scipy.sparse.linalg import splu
 
 from resistive_walk import resistance
 from resistive_walk.errors import InvalidArgumentError, SolverError, TruncationError
@@ -84,6 +86,69 @@ def test_potential_interpolates_between_sets():
     assert pot.energy > 0
     assert pot.residual <= 1e-10
     assert pot.iterations == 1
+
+
+def _whole_window_potential(g, A, B):
+    """Reference potential and energy: window-length masks, scipy's selections
+    `adj[rows][:, cols]` and the energy summed over every bond."""
+    in_a = np.zeros(g.n_vertices, dtype=bool)
+    in_b = np.zeros(g.n_vertices, dtype=bool)
+    in_a[g.indices(A)] = True
+    in_b[g.indices(B)] = True
+    f = in_a.astype(float)
+    interior = np.flatnonzero(~(in_a | in_b))
+    if interior.size:
+        adj = g.adjacency()
+        rhs = np.asarray(adj[interior][:, np.flatnonzero(in_a)].sum(axis=1)).ravel()
+        lap = (diags(g.measure[interior]) - adj[interior][:, interior]).tocsc()
+        f[interior] = splu(lap).solve(rhs)
+    df = f[g.bond_u] - f[g.bond_v]
+    return f, float(np.sum(g.bond_c * df * df))
+
+
+def _set_pairs(g, seed):
+    """(A, B) label pairs: the marked vertex against the outside of balls, and
+    random disjoint sets, small and large."""
+    dist = g.distances_from(g.marked, "graph")
+    for R in (1, 2, 3, 5, 8):
+        if (dist >= R).any():
+            yield [g.marked], g.labels[dist >= R]
+    rng = np.random.default_rng(seed)
+    n = g.n_vertices
+    for a, b in ((1, 1), (2, 3), (n // 3, n // 3), (1, n - 2), (n - 2, 1)):
+        a = min(max(a, 1), n - 1)
+        perm = rng.permutation(g.labels)
+        yield perm[:a], perm[a:a + max(b, 1)]
+
+
+_POTENTIAL_GRAPHS = {
+    **{f"{name}-{size}": fixture(name, size) for name, size in FIXTURES},
+    "lrp-s2.2": generate_long_range(LongRangeParams(40, 1.0, 2.2, seed=4)),
+    "lrp-s3.5": generate_long_range(LongRangeParams(99, 1.0, 3.5, seed=5)),
+    "exp-c1": generate_exp_tail(ExpTailParams(90, 1.0, seed=6)),
+}
+
+
+@pytest.mark.parametrize("name", list(_POTENTIAL_GRAPHS))
+def test_potential_is_the_whole_window_solve_bit_for_bit(name):
+    g = _POTENTIAL_GRAPHS[name]
+    for A, B in _set_pairs(g, len(name)):
+        pot = dirichlet_potential(g, A, B)
+        values, energy = _whole_window_potential(g, A, B)
+        assert pot.iterations <= 1
+        assert pot.values.tobytes() == values.tobytes()
+        assert pot.energy == energy
+        assert 1.0 / pot.energy == pytest.approx(dense_resistance(g, A, B), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("tail, seed", [(3.5, 1), (2.2, 2)])
+def test_ball_potentials_of_a_long_window_are_the_whole_window_solve(tail, seed):
+    g = generate_long_range(LongRangeParams(4096, 1.0, tail, seed=seed))
+    for A, B in _set_pairs(g, seed):
+        pot = dirichlet_potential(g, A, B)
+        values, energy = _whole_window_potential(g, A, B)
+        assert pot.values.tobytes() == values.tobytes()
+        assert pot.energy == energy
 
 
 def test_requires_disjoint_nonempty_sets():
