@@ -155,23 +155,27 @@ def _shared_table(params: LongRangeParams | ExpTailParams, *key: float) -> np.nd
 
 
 def _generate_window(params: LongRangeParams | ExpTailParams) -> Graph:
+    """The window's graph.  The only window-length arrays it makes are the
+    bond ends, handed to `Graph.from_arrays`; the shared probability table is
+    read in slices, each block computes its own distances' slot counts, and
+    the unit conductances go in as a view, not as an array of their own."""
     params.validate()
     L = params.half_width
     rng = np.random.default_rng(params.seed)
     # For each distance the bond count is Binomial over the available left
     # endpoints and positions are a uniform subset, which reproduces the
-    # independent-Bernoulli law pair by pair.
-    distance = np.arange(2, 2 * L + 1)
-    slots = 2 * L + 1 - distance
+    # independent-Bernoulli law pair by pair.  Distance 2 + i has n_dist - i
+    # slots.
+    n_dist = 2 * L - 1
     p = params.bond_probabilities()
     u = [np.arange(-L, L)]
     v = [np.arange(-L + 1, L + 1)]
     i = 0
     block = _MIN_BLOCK
-    while i < distance.size:
-        stop = min(i + block, distance.size)
+    while i < n_dist:
+        stop = min(i + block, n_dist)
         state = rng.bit_generator.state
-        hits = np.flatnonzero(rng.binomial(slots[i:stop], p[i:stop]))
+        hits = np.flatnonzero(rng.binomial(n_dist - np.arange(i, stop), p[i:stop]))
         if not hits.size:
             i = stop
             block = min(2 * block, _MAX_BLOCK)
@@ -179,14 +183,16 @@ def _generate_window(params: LongRangeParams | ExpTailParams) -> Graph:
         # rewind and redraw through the first hit, as the scalar loop would
         j = i + int(hits[0])
         rng.bit_generator.state = state
-        k = int(rng.binomial(slots[i : j + 1], p[i : j + 1])[-1])
-        lefts = np.sort(rng.choice(int(slots[j]), size=k, replace=False))
+        k = int(rng.binomial(n_dist - np.arange(i, j + 1), p[i : j + 1])[-1])
+        lefts = np.sort(rng.choice(n_dist - j, size=k, replace=False))
         u.append(lefts - L)
-        v.append(lefts - L + int(distance[j]))
+        v.append(lefts - L + j + 2)
         i = j + 1
         block = _MIN_BLOCK
     u = np.concatenate(u)
-    return Graph.from_arrays(u, np.concatenate(v), np.ones(u.size), marked=0, truncated=True)
+    # unit conductances as a read-only view; the graph makes its own copy
+    return Graph.from_arrays(u, np.concatenate(v), np.broadcast_to(1.0, u.shape),
+                             marked=0, truncated=True)
 
 
 def generate_long_range(params: LongRangeParams) -> Graph:

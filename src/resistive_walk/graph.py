@@ -73,6 +73,12 @@ def _distinct(ends: np.ndarray) -> np.ndarray:
     return ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
 
 
+def _index_dtype(n: int, entries: int) -> type:
+    """The index dtype scipy keeps for a CSR matrix of n rows and columns
+    built from `entries` COO entries: int32 while both fit, else int64."""
+    return np.int32 if max(n, entries) <= np.iinfo(np.int32).max else np.int64
+
+
 def _row_sums(matrix: csr_matrix) -> np.ndarray:
     """Row sums of a CSR matrix none of whose rows is empty, bit for bit as
     `matrix.sum(axis=1)` adds them (one reduceat over the rows' stored
@@ -108,7 +114,12 @@ class Graph:
     instead; the tuple constructor is a thin wrapper that turns the tuples
     into those arrays, and both run one construction with the same checks.
     A graph holds O(n + bonds) memory: the labels, the bond arrays, the
-    merged adjacency, the measure and cached distances.
+    merged adjacency, the measure and cached distances.  Building it makes
+    no bond-length copy that scipy would throw away: both directions of the
+    bond ends are concatenated straight into the index dtype scipy keeps
+    (`_index_dtype`, int32 while the vertex and entry counts fit), so its
+    only temporaries beside the kept arrays are the label pass's bond ends
+    and the both-direction COO input that scipy converts to CSR.
 
     Facts that never change are computed once per graph, and each has one
     name.  The labels are the distinct bond ends: a presence map over the
@@ -202,13 +213,15 @@ class Graph:
         self.marked = int(marked)
         self.truncated = bool(truncated)
 
-        # both directions of every bond; the CSR conversion sums duplicates
+        # both directions of every bond, the ends already in the index dtype
+        # scipy keeps, so it copies none; the CSR conversion sums duplicates
         n = labels.size
+        idx = _index_dtype(n, 2 * c.size)
         self._adjacency = csr_matrix(
             (
                 np.concatenate([c, c]),
-                (np.concatenate([self.bond_u, self.bond_v]),
-                 np.concatenate([self.bond_v, self.bond_u])),
+                (np.concatenate([self.bond_u, self.bond_v], dtype=idx),
+                 np.concatenate([self.bond_v, self.bond_u], dtype=idx)),
             ),
             shape=(n, n),
         )

@@ -234,10 +234,16 @@ def _step_table(g: Graph, origin: int, n_steps: int):
     table: hub_step(x, target, step) redoes, for the trajectories at
     hub rows, the global search that picks their bond.  It is None when
     no row is a hub.
+
+    Beside the cone's tables, the one array as long as the adjacency is the
+    cumulative conductances, written by one `cumsum` into their own buffer;
+    the vertex-to-cone map is the one window-length array.
     """
     adj = g.adjacency()
     indptr, indices = adj.indptr, adj.indices
-    edge_cum = np.concatenate([[0.0], np.cumsum(adj.data)])
+    edge_cum = np.empty(adj.data.size + 1)
+    edge_cum[0] = 0.0
+    np.cumsum(adj.data, out=edge_cum[1:])
     cone, reach = _light_cone(g, origin, n_steps)
     rows = cone[: reach[n_steps - 1]]
 

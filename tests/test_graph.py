@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
-from resistive_walk import generate
+from resistive_walk import generate, walk
 from resistive_walk import graph as graph_module
 from resistive_walk.errors import InvalidArgumentError, TruncationError
 from resistive_walk.generate import ExpTailParams, LongRangeParams, fixture
@@ -364,6 +365,97 @@ def test_parallel_bonds_merge_in_csr():
         assert g.n_bonds == len(bonds)
         assert g.adjacency().nnz < 2 * len(bonds)
         _check_merged_adjacency(g, bonds)
+
+
+def _scipy_adjacency(labels, u, v, c):
+    """The merged adjacency by the plain recipe: int64 COO of both directions
+    of every bond, converted by scipy's `csr_matrix`."""
+    iu, iv = np.searchsorted(labels, u), np.searchsorted(labels, v)
+    return csr_matrix((np.concatenate([c, c]), (np.concatenate([iu, iv]).astype(np.int64),
+                                                np.concatenate([iv, iu]).astype(np.int64))),
+                      shape=(labels.size, labels.size))
+
+
+@st.composite
+def _multigraph_arrays(draw):
+    """Bond arrays of a connected multigraph: a path over distinct labels (sparse,
+    negative or far apart) plus random bonds, some parallel and in both
+    orientations, all in a drawn order; or a small generated lrp or exp window."""
+    if draw(st.booleans()):
+        params = draw(st.sampled_from([LongRangeParams, ExpTailParams]))
+        half_width, seed = draw(st.integers(2, 300)), draw(st.integers(0, 2**32))
+        tail = (1.0, draw(st.floats(2.1, 4.0))) if params is LongRangeParams else (
+            draw(st.floats(0.05, 2.0)),)
+        g = generate._generate_window(params(half_width, *tail, seed))
+        return g.labels[g.bond_u], g.labels[g.bond_v], g.bond_c
+    spread = draw(st.sampled_from([10, 1000, 2**40]))
+    labels = draw(st.lists(st.integers(-spread, spread), min_size=2, max_size=60, unique=True))
+    n = len(labels)
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    parallel = draw(st.lists(st.integers(0, n - 2), max_size=8))
+    ends = [(i, i + 1) for i in range(n - 1)] + extra + [(i + 1, i) for i in parallel]
+    ends = draw(st.permutations(ends))
+    c = draw(st.lists(st.floats(1.0, 4.0), min_size=len(ends), max_size=len(ends)))
+    u = np.array([labels[a] for a, _ in ends], dtype=np.int64)
+    v = np.array([labels[b] for _, b in ends], dtype=np.int64)
+    return u, v, np.array(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multigraph_arrays())
+def test_adjacency_is_scipys_conversion_byte_for_byte(arrays):
+    u, v, c = arrays
+    g = Graph.from_arrays(u, v, c, marked=int(u[0]))
+    want = _scipy_adjacency(np.unique(np.concatenate([u, v])), u, v, c)
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(g.adjacency(), field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def test_index_dtype_is_int32_while_vertices_and_entries_fit():
+    top = 2**31 - 1
+    assert graph_module._index_dtype(top, top) is np.int32
+    assert graph_module._index_dtype(top + 1, 2) is np.int64
+    assert graph_module._index_dtype(2, top + 1) is np.int64
+    # scipy's own choice on a one-row matrix of that many columns, which holds
+    # no array of that length
+    for n in (top, top + 1):
+        one = csr_matrix((np.ones(1), (np.zeros(1, dtype=np.int64),
+                                       np.zeros(1, dtype=np.int64))), shape=(1, n))
+        assert one.indices.dtype == one.indptr.dtype == graph_module._index_dtype(n, 2)
+
+
+# -- memory of a wide build ---------------------------------------------------
+
+
+WIDE = [LongRangeParams(1 << 16, 1.0, 3.5, seed=7), ExpTailParams(1 << 16, 1.0, seed=7)]
+
+
+def _held_bytes(g):
+    """What a built graph keeps: labels, bond arrays, adjacency, measure and hops."""
+    adj = g.adjacency()
+    kept = (g.labels, g.bond_u, g.bond_v, g.bond_c, adj.indptr, adj.indices, adj.data,
+            g.measure, g.distances_from(g.marked, "graph"))
+    return sum(a.nbytes for a in kept)
+
+
+@pytest.mark.parametrize("params", WIDE, ids=["lrp", "exp"])
+def test_building_a_window_peaks_within_its_budget_of_the_graph(params):
+    # the shared probability table is warm, as for every member but a run's first
+    params.bond_probabilities()
+    g, peak = _traced_peak(generate._generate_window, params)
+    # no window-length copy the graph does not keep: about 1.6x what it holds
+    assert peak <= 1.8 * _held_bytes(g)
+
+
+@pytest.mark.parametrize("params", WIDE, ids=["lrp", "exp"])
+def test_the_walks_step_table_takes_one_cumulative_buffer(params):
+    g = generate._generate_window(params)
+    _, peak = _traced_peak(walk._step_table, g, 0, 64)
+    # the cumulative conductances (8 bytes per adjacency entry, 2 entries per
+    # bond), the vertex-to-cone map and the cone's rows
+    assert peak <= 28 * g.n_bonds
 
 
 @pytest.mark.parametrize(
