@@ -86,6 +86,39 @@ def _row_sums(matrix: csr_matrix) -> np.ndarray:
     return np.add.reduceat(matrix.data, matrix.indptr[:-1])
 
 
+def label_positions(sorted_labels: np.ndarray, wanted, where: str) -> np.ndarray:
+    """Int64 positions of the labels `wanted`, in the given order (duplicates
+    kept), in `sorted_labels`, sorted distinct int64 labels.
+
+    The one lookup of labels, with two rules.  On contiguous labels, such as
+    a window's, a label's position is its offset label - sorted_labels[0],
+    and one range check of the offsets finds any absent label.  Otherwise
+    each label takes one binary search and one membership check.  Integer
+    labels are compared exactly as int64, never through a float; unsigned
+    ones above the int64 maximum are absent.  The first absent label, in
+    the given order, raises "vertex ... is not in `where`".
+    """
+    given = np.asarray(wanted).reshape(-1)
+    query, beyond = given, None
+    if given.dtype.kind == "u" and not np.can_cast(given.dtype, np.int64):
+        beyond = given > INT64.max
+        query = given.astype(np.int64)  # wraps the labels beyond, found absent below
+    lo, last = int(sorted_labels[0]), sorted_labels.size - 1
+    found = None  # None: every label is present
+    if np.can_cast(query.dtype, np.int64) and int(sorted_labels[-1]) - lo == last:
+        idx = np.subtract(query, sorted_labels[0], dtype=np.int64)
+        if idx.size and not (idx.min() >= 0 and idx.max() <= last):
+            found = (idx >= 0) & (idx <= last)
+    else:
+        idx = np.minimum(np.searchsorted(sorted_labels, query), last)
+        found = sorted_labels[idx] == query
+    if beyond is not None and beyond.any():
+        found = ~beyond if found is None else found & ~beyond
+    if found is not None and not found.all():
+        raise InvalidArgumentError(f"vertex {given[np.argmin(found)]} is not in {where}")
+    return idx
+
+
 def _check_metric(metric: str) -> str:
     if metric not in METRICS:
         raise InvalidArgumentError(f"unknown metric {metric!r}, expected one of {METRICS}")
@@ -133,11 +166,11 @@ class Graph:
     connected when the unweighted hop BFS from `marked` reaches every
     vertex; those hop distances are kept as `distances_from(marked,
     "graph")`, which the kernel, the walk and graph-metric balls about the
-    marked vertex read without a second traversal.  `indices` takes a
-    label's offset label - labels[0] as its index on contiguous labels such
-    as a window's, checking only the offsets' range, and binary-searches
-    the offsets that miss on other labels; the bond ends are looked up the
-    same way when the graph is built.  `adjacency_block` cuts rows x columns
+    marked vertex read without a second traversal.  `indices`, which also
+    looks up the bond ends when the graph is built, has `label_positions`'
+    two rules: on contiguous labels a label's index is its offset
+    label - labels[0], with one range check; on others, one binary search
+    and one membership check.  `adjacency_block` cuts rows x columns
     out of W as scipy's fancy indexing does, at a cost that follows the
     rows when they are few: every Laplacian block and coupling of the
     solvers, and the kernel's light-cone matrix, is cut out by it.
@@ -247,44 +280,8 @@ class Graph:
         return int(self.indices([label])[0])
 
     def indices(self, labels: Sequence[int]) -> np.ndarray:
-        """Vertex indices of `labels`, in the given order (duplicates kept).
-
-        A label's index is guessed as its offset label - labels[0].  On
-        contiguous labels, such as a window's, the guess is the index, and one
-        range check of the offsets finds any label that is absent.  Otherwise
-        only the guesses that miss are binary-searched.  Integer labels are
-        compared exactly as int64; unsigned ones above the int64 maximum are
-        never in the graph.  The first label that is absent, in the given
-        order, raises.
-        """
-        given = np.asarray(labels).reshape(-1)
-        wanted, beyond = given, None
-        if given.dtype.kind == "u" and not np.can_cast(given.dtype, np.int64):
-            beyond = given > INT64.max
-            wanted = given.astype(np.int64)  # wraps the labels beyond, found absent below
-        last = self.labels.size - 1
-        found = None  # None: every label is present
-        if not np.can_cast(wanted.dtype, np.int64):
-            # no exact integer offset for this dtype: search every label
-            idx = np.minimum(np.searchsorted(self.labels, wanted), last)
-            found = self.labels[idx] == wanted
-        else:
-            idx = np.subtract(wanted, self.labels[0], dtype=np.int64)
-            if self.is_line_labeled():
-                if idx.size and not (idx.min() >= 0 and idx.max() <= last):
-                    found = (idx >= 0) & (idx <= last)
-            else:
-                np.clip(idx, 0, last, out=idx)
-                miss = np.flatnonzero(self.labels[idx] != wanted)
-                if miss.size:
-                    idx[miss] = np.minimum(np.searchsorted(self.labels, wanted[miss]), last)
-                    found = np.ones(idx.size, dtype=bool)
-                    found[miss] = self.labels[idx[miss]] == wanted[miss]
-        if beyond is not None and beyond.any():
-            found = ~beyond if found is None else found & ~beyond
-        if found is not None and not found.all():
-            raise InvalidArgumentError(f"vertex {given[np.argmin(found)]} is not in the graph")
-        return idx
+        """Vertex indices of `labels`, by `label_positions`."""
+        return label_positions(self.labels, labels, "the graph")
 
     def bonds(self) -> Iterator[tuple[int, int, float]]:
         for i in range(self.bond_c.size):

@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 from .errors import InvalidArgumentError, SolverError
-from .graph import Graph
+from .graph import Graph, label_positions
 
 RESIDUAL_TOL = 1e-10
 # unit right-hand sides per solve of pair resistances, so columns per residual
@@ -94,15 +94,7 @@ class Potential:
     residual: float
 
     def value(self, label: int) -> float:
-        return _value_at(self.labels, self.values, label, "the graph")
-
-
-def _value_at(labels: np.ndarray, values: np.ndarray, label: int, where: str) -> float:
-    """The entry of `values` at `label` of the sorted `labels`."""
-    i = int(np.searchsorted(labels, label))
-    if i >= labels.size or labels[i] != label:
-        raise InvalidArgumentError(f"vertex {label} is not in {where}")
-    return float(values[i])
+        return float(self.values[label_positions(self.labels, label, "the graph")[0]])
 
 
 def _set_masks(g: Graph, A: Sequence[int], B: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +161,7 @@ class GreenRow:
         return self.value(self.x)
 
     def value(self, label: int) -> float:
-        return _value_at(self.domain, self.values, label, "the domain")
+        return float(self.values[label_positions(self.domain, label, "the domain")[0]])
 
 
 def green_row(g: Graph, domain: Sequence[int], x: int) -> GreenRow:
@@ -181,14 +173,18 @@ def green_row(g: Graph, domain: Sequence[int], x: int) -> GreenRow:
     idx = np.unique(g.indices(domain))
     if idx.size == g.n_vertices:
         raise InvalidArgumentError("domain must be a proper subset of the vertices")
-    xi = g.index(x)
-    pos = int(np.searchsorted(idx, xi))
-    if pos >= idx.size or idx[pos] != xi:
+    return GreenRow(g.labels[idx], int(x), _killed_row(g, idx, g.index(x)))
+
+
+def _killed_row(g: Graph, domain: np.ndarray, xi: int) -> np.ndarray:
+    """The Green row from vertex index `xi` killed off `domain`, sorted distinct
+    vertex indices holding `xi`: the solution of (D - W)|_domain u = e_xi."""
+    pos = int(np.searchsorted(domain, xi))
+    if pos >= domain.size or domain[pos] != xi:
         raise InvalidArgumentError("x must lie in the domain")
-    rhs = np.zeros(idx.size)
+    rhs = np.zeros(domain.size)
     rhs[pos] = 1.0
-    sol, _, _ = _grounded_solver(g, idx)(rhs)
-    return GreenRow(g.labels[idx], int(x), sol)
+    return _grounded_solver(g, domain)(rhs)[0]
 
 
 # -- pairwise resistances from the origin ----------------------------------

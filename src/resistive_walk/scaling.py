@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .graph import check_int
 
 
 def _log_lever_max() -> float:
@@ -57,7 +58,7 @@ class GrowthFunction:
             )
 
     def __call__(self, radius: float) -> float:
-        if radius < 0:
+        if not radius >= 0:  # NaN too
             raise InvalidArgumentError("radius must be nonnegative")
         if radius == 0:
             return 0.0
@@ -195,14 +196,14 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> ExponentFit:
     The windowed slope uses only abscissae above ten times the smallest,
     falling back to the full range when that leaves fewer than four
     points.  At least MIN_FIT_POINTS points are needed; values must be
-    positive and abscissae strictly increasing.
+    positive and finite, and abscissae strictly increasing.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size or x.size < MIN_FIT_POINTS:
         raise InvalidArgumentError(f"fit needs at least {MIN_FIT_POINTS} matched points")
-    if np.any(x <= 0) or np.any(np.diff(x) <= 0):
-        raise InvalidArgumentError("abscissae must be positive and strictly increasing")
+    if not (np.all(x > 0) and np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+        raise InvalidArgumentError("abscissae must be positive, finite and strictly increasing")
     if np.any(y <= 0) or not np.all(np.isfinite(y)):
         raise InvalidArgumentError(
             "fit values must be positive and finite (series may be truncation-contaminated)"
@@ -257,15 +258,18 @@ def failure_decay_fit(
 
     Zero counts fall below the resolution of the ensemble; the first zero
     entry is kept at the conventional floor 1/(2*ensemble) so the cliff
-    into zero still informs the fit, and later zeros are dropped.
+    into zero still informs the fit, and later zeros are dropped.  Each
+    tolerance must pass `check_tolerance`.
     """
     lam = np.asarray(lambdas, dtype=float)
     frac = np.asarray(fractions, dtype=float)
     if lam.size != frac.size or lam.size < 2:
         raise InvalidArgumentError("need at least two (tolerance, fraction) pairs")
-    if np.any(frac < 0) or np.any(frac > 1):
+    if not np.all((frac >= 0) & (frac <= 1)):  # NaN too
         raise InvalidArgumentError("fractions must lie in [0, 1]")
-    floor = 1.0 / (2.0 * ensemble_size)
+    for lv in lam:
+        check_tolerance(lv)
+    floor = 1.0 / (2.0 * check_int(ensemble_size, "ensemble_size"))
     xs: list[float] = []
     ys: list[float] = []
     floored = False

@@ -30,7 +30,7 @@ from scipy.sparse import diags
 from .errors import InvalidArgumentError, SolverError
 from .generate import mix_seed
 from .graph import Graph, check_int, check_radius
-from .resistance import green_row
+from .resistance import _killed_row
 
 CONTAMINATION_LEVEL = 1e-3
 _CONSERVATION_TOL = 1e-9
@@ -179,8 +179,8 @@ def heat_kernel_exact(
 def mean_exit_time_exact(g: Graph, origin: int, radius: int, metric: str = "graph") -> float:
     """E[exit time from the ball of `radius`], which must pass `Graph.check_ball`."""
     radius = g.check_ball(origin, radius, metric)
-    row = green_row(g, g.ball(origin, radius, metric), origin)
-    return float(row.values @ g.measure[g.indices(row.domain)])
+    ball = np.flatnonzero(g.distances_from(origin, metric) < radius)
+    return float(_killed_row(g, ball, g.index(origin)) @ g.measure[ball])
 
 
 @dataclass(frozen=True)

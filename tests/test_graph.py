@@ -1,3 +1,4 @@
+import bisect
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from resistive_walk import generate, walk
+from resistive_walk.resistance import dirichlet_potential, green_row
 from resistive_walk import graph as graph_module
 from resistive_walk.errors import InvalidArgumentError, TruncationError
 from resistive_walk.generate import ExpTailParams, LongRangeParams, fixture
@@ -225,14 +227,18 @@ def test_distinct_labels_take_no_more_memory_than_a_sorted_copy(span_per_end):
     assert peak <= sort_peak
 
 
-def _searchsorted_indices(labels, wanted):
-    """Reference lookup: one binary search per label, then a check."""
+def _searchsorted_indices(labels, wanted, where="the graph"):
+    """Reference lookup: one binary search per label, then a check, both by
+    Python's exact comparison of numbers."""
     wanted = np.asarray(wanted).reshape(-1)
-    idx = np.searchsorted(labels, wanted)
-    found = labels[np.minimum(idx, labels.size - 1)] == wanted
-    if not found.all():
-        raise InvalidArgumentError(f"vertex {wanted[np.argmin(found)]} is not in the graph")
-    return idx.astype(np.int64)
+    sorted_labels = labels.tolist()
+    idx = []
+    for k, label in enumerate(wanted.tolist()):
+        i = bisect.bisect_left(sorted_labels, label)
+        if i == len(sorted_labels) or sorted_labels[i] != label:
+            raise InvalidArgumentError(f"vertex {wanted[k]} is not in {where}")
+        idx.append(i)
+    return np.asarray(idx, dtype=np.int64)
 
 
 def _gapped_graphs():
@@ -247,6 +253,9 @@ def _gapped_graphs():
     )
     negative = [(-50, -7, 1.0), (-7, -3, 2.0), (-3, -2, 1.0), (-50, -2, 0.5)]
     extremes = [(-(2**62), 0, 1.0), (0, 2**62, 1.0), (0, 1, 1.0)]
+    # labels past float64 precision: uint64 queries of them must not round
+    b = 2**62
+    near = [(b, b + 1, 1.0), (b + 1, b + 2, 1.0), (b + 2, b + 3, 1.0)]
     line = fixture("line", 64)
     line_bonds = [(x, x + 1, 1.0) for x in range(-64, 64)]
     return {
@@ -255,6 +264,7 @@ def _gapped_graphs():
         "far-bond-below": (line.with_bond(-3, -(10**9)), line_bonds + [(-3, -(10**9), 1.0)]),
         "negative": (Graph(negative, marked=-7), negative),
         "int64-extremes": (Graph(extremes, marked=0), extremes),
+        "near-2^62": (Graph(near, marked=b), near),
         "scattered": (Graph(chain, marked=chain[0][0]), chain),
         "contiguous": (line, line_bonds),
     }
@@ -300,6 +310,11 @@ def _lookup_or_message(lookup, *args):
 @pytest.mark.parametrize("name", list(GAPPED))
 def test_indices_match_a_binary_search(name):
     g, _ = GAPPED[name]
+    # the value lookups of solved results: a potential over every label, and a
+    # Green row whose domain leaves out a middle label, so it is never contiguous
+    pot = dirichlet_potential(g, [g.labels[0]], [g.labels[-1]])
+    domain = np.delete(g.labels, g.n_vertices // 2)
+    row = green_row(g, domain, domain[0])
     for wanted in _queries(g):
         got = _lookup_or_message(g.indices, wanted)
         want = _lookup_or_message(_searchsorted_indices, g.labels, wanted)
@@ -307,6 +322,13 @@ def test_indices_match_a_binary_search(name):
             assert got == want
         else:
             assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        for label in wanted:
+            for result, labels, where in ((pot, pot.labels, "the graph"),
+                                          (row, row.domain, "the domain")):
+                want = _lookup_or_message(_searchsorted_indices, labels, [label], where)
+                assert _lookup_or_message(result.value, label) == (
+                    want if isinstance(want, str) else float(result.values[want[0]])
+                )
     for label in list(g.labels[:3]) + [int(g.labels[-1]) + 1, int(g.labels[0]) - 7]:
         want = _lookup_or_message(_searchsorted_indices, g.labels, [label])
         assert _lookup_or_message(g.index, label) == (

@@ -40,6 +40,13 @@ def test_growth_is_increasing():
     assert np.all(np.diff(vals) > 0)
 
 
+def test_growth_rejects_bad_radius():
+    v = GrowthFunction(1.0)
+    for radius in (-1.0, float("nan"), float("-inf")):
+        with pytest.raises(InvalidArgumentError, match="radius must be nonnegative"):
+            v(radius)
+
+
 def test_growth_rejects_bad_exponent():
     for exponent in (0.0, float("inf"), float("nan")):
         with pytest.raises(InvalidArgumentError, match="exponent"):
@@ -162,6 +169,12 @@ def test_fit_rejects_nonpositive_values():
         fit_loglog([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], [1.0] * 7 + [0.0])
     with pytest.raises(InvalidArgumentError, match="increasing"):
         fit_loglog([2.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], [1.0] * 8)
+    # non-finite abscissae are refused, not fitted into NaN slopes
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            fit_loglog([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, bad], [1.0] * 8)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            fit_loglog([bad, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], [1.0] * 8)
 
 
 def test_spectral_dimension_of_diffusive_kernel():
@@ -202,6 +215,16 @@ def test_failure_decay_degenerate_cases():
         failure_decay_fit([2.0], [0.5], 8)
     with pytest.raises(InvalidArgumentError):
         failure_decay_fit([2.0, 4.0], [0.5, 1.5], 8)
+    # a NaN fraction is refused, not counted as zero and floored
+    with pytest.raises(InvalidArgumentError, match="fractions"):
+        failure_decay_fit([2.0, 4.0, 8.0], [0.5, float("nan"), 0.0], 8)
+    # each tolerance goes through the one tolerance rule
+    for bad in (float("nan"), float("inf"), 0.5):
+        with pytest.raises(InvalidArgumentError, match="tolerance must be finite"):
+            failure_decay_fit([2.0, bad], [0.5, 0.25], 8)
+    for size in (0, -3, 2.5):
+        with pytest.raises(InvalidArgumentError, match="ensemble_size"):
+            failure_decay_fit([2.0, 4.0], [0.5, 0.0], size)
 
 
 def test_tightness_fractions_are_monotone_in_theta():

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from resistive_walk import walk
-from resistive_walk.errors import InvalidArgumentError, SolverError
-from resistive_walk.generate import LongRangeParams, fixture, generate_long_range, mix_seed
+from resistive_walk.errors import InvalidArgumentError, SolverError, TruncationError
+from resistive_walk.generate import (
+    ExpTailParams,
+    LongRangeParams,
+    fixture,
+    generate_exp_tail,
+    generate_long_range,
+    mix_seed,
+)
 from resistive_walk.graph import Graph
 from resistive_walk.oracle import dense_heat_kernel, dense_mean_exit
+from resistive_walk.resistance import green_row
 from resistive_walk.walk import heat_kernel_exact, mean_exit_time_exact, simulate
 
 
@@ -246,6 +254,37 @@ def test_exit_time_matches_oracle():
     assert mean_exit_time_exact(g, 0, 3, metric="graph") == pytest.approx(
         expected, rel=1e-9
     )
+
+
+# graphs and the origins besides the marked vertex whose exit times are checked
+_EXIT_CASES = {
+    "lrp": (lambda: generate_long_range(LongRangeParams(256, 1.0, 2.5, seed=4)), (5, -17)),
+    "exp": (lambda: generate_exp_tail(ExpTailParams(256, 0.3, seed=5)), (9, -3)),
+    "line": (lambda: fixture("line", 64), (7, -10)),
+    "ladder": (lambda: fixture("ladder", 12), (5, 13)),
+    "binary_tree": (lambda: fixture("binary_tree", 5), (3, 20)),
+}
+
+
+@pytest.mark.parametrize("metric", ["graph", "line"])
+@pytest.mark.parametrize("name", list(_EXIT_CASES))
+def test_exit_time_keeps_the_bits_of_its_green_row(name, metric):
+    # the exit solve on the ball's vertex indices is the Green row of the ball's
+    # labels, summed against the measure: the same system, factor and dot product
+    build, others = _EXIT_CASES[name]
+    g = build()
+    for origin in (g.marked,) + others:
+        checked = 0
+        for radius in range(1, 10):
+            try:
+                g.check_ball(origin, radius, metric)
+            except (InvalidArgumentError, TruncationError):
+                break
+            row = green_row(g, g.ball(origin, radius, metric), origin)
+            want = float(row.values @ g.measure[g.indices(row.domain)])
+            assert mean_exit_time_exact(g, origin, radius, metric) == want
+            checked += 1
+        assert checked >= 2, (origin, checked)
 
 
 def test_exit_probe_respects_truncation(line64):
