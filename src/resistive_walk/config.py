@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, InvalidArgumentError
 from .generate import model_graph
 from .graph import INT64, METRICS, check_quarter_distance
+from .scaling import GrowthFunction
 
 PRESET_NAMES = ("line-sanity", "lrp-s3.0", "lrp-s3.5", "lrp-s2.2", "exp-c1")
 
@@ -157,6 +158,12 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError(f"{key} must be at least 1")
     if config.master_seed < 0:
         raise ConfigError("master_seed must be nonnegative")
+    for growth in ("volume", "resistance"):  # scaling owns the growth rule
+        keys = (f"{growth}_exponent", f"{growth}_log_power")
+        try:
+            GrowthFunction(*(getattr(config, key) for key in keys))
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"{' with '.join(keys)}: {exc}") from exc
     # generate owns the model table; its messages name the config keys
     try:
         _, half_width = config_graph(config)

@@ -372,17 +372,17 @@ class Graph:
         return int(min(self.marked - lo, hi - self.marked))
 
     def check_ball(self, center: int, radius, metric: str = "graph") -> int:
-        """The radius, as an int, of a ball about `center` that can be measured: it
-        passes `check_radius`, leaves some vertex outside, and on a truncated graph
-        reaches at most a quarter of the distance, in the ball's metric, from `center`
-        to the nearer window end (the lowest or highest label)."""
+        """The radius, as an int, of a ball about `center` that can be measured: it passes
+        `check_radius` and, on a truncated graph, the quarter rule alone (at most a quarter
+        of the distance, in the ball's metric, from `center` to the nearer window end, which
+        leaves both ends outside); on any other graph it leaves some vertex outside."""
         radius = check_radius(radius)
         dist = self.distances_from(center, metric)
-        if not (dist >= radius).any():
-            raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
         if self.truncated:
             check_quarter_distance(radius, int(min(dist[0], dist[-1])), f"the {metric}-metric "
                                    f"distance from {center} to the nearer window end")
+        elif not (dist >= radius).any():
+            raise InvalidArgumentError(f"ball of radius {radius} covers the whole graph")
         return radius
 
     # -- perturbation ------------------------------------------------------

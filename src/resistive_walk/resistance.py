@@ -97,22 +97,8 @@ class Potential:
         return float(self.values[label_positions(self.labels, label, "the graph")[0]])
 
 
-def _set_masks(g: Graph, A: Sequence[int], B: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(a, off_b): the sorted distinct vertex indices of A and the vertex mask
-    of those not in B.  A and B are checked to be nonempty and disjoint on
-    their index arrays."""
-    a, b = g.indices(A), g.indices(B)
-    if not a.size or not b.size:
-        raise InvalidArgumentError("A and B must be nonempty")
-    off_b = np.ones(g.n_vertices, dtype=bool)
-    off_b[b] = False
-    if not off_b[a].all():
-        raise InvalidArgumentError("A and B must be disjoint")
-    return np.unique(a), off_b
-
-
 def dirichlet_potential(g: Graph, A: Sequence[int], B: Sequence[int]) -> Potential:
-    """Unit-voltage potential between vertex sets A (held at 1) and B (at 0).
+    """Unit-voltage potential between nonempty disjoint vertex sets A (at 1) and B (at 0).
 
     The potential is 0 on B, so only the bonds with an end off B can carry
     current, and the free vertices, those off A and B, are their ends.  The
@@ -123,7 +109,13 @@ def dirichlet_potential(g: Graph, A: Sequence[int], B: Sequence[int]) -> Potenti
     are scattered into zeros, one per bond, and summed as one array in bond
     order: each other term is exactly 0.0, so the sum is that of every term.
     """
-    a, off_b = _set_masks(g, A, B)
+    a, b = np.unique(g.indices(A)), g.indices(B)
+    if not a.size or not b.size:
+        raise InvalidArgumentError("A and B must be nonempty")
+    off_b = np.ones(g.n_vertices, dtype=bool)
+    off_b[b] = False
+    if not off_b[a].all():
+        raise InvalidArgumentError("A and B must be disjoint")
     live = np.flatnonzero(off_b[g.bond_u] | off_b[g.bond_v])
     live_u, live_v = g.bond_u[live], g.bond_v[live]
     off_b[a] = False  # from here it marks the free vertices, off A and B
@@ -207,19 +199,18 @@ class OriginResistanceCache:
     def __init__(self, g: Graph) -> None:
         self.graph = g
         self._ground = g.index(g.marked)
-        self._keep = np.delete(np.arange(g.n_vertices), self._ground)
-        self._solve = _grounded_solver(g, self._keep)
+        self._solve = _grounded_solver(g, np.delete(np.arange(g.n_vertices), self._ground))
 
     def pair_resistance(self, labels: Sequence[int]) -> np.ndarray:
         """R_eff(marked, y) per label, in the given order; repeats are solved once."""
         targets = self.graph.indices(labels)
         values = np.zeros(self.graph.n_vertices)  # the ground's stays 0
         free = np.unique(targets[targets != self._ground])
-        rows = np.searchsorted(self._keep, free)
+        rows = free - (free > self._ground)  # the solver drops the ground's row
         for start in range(0, free.size, _CHECK_COLUMNS):
             chunk = rows[start:start + _CHECK_COLUMNS]
             cols = np.arange(chunk.size)
-            rhs = np.zeros((self._keep.size, chunk.size))
+            rhs = np.zeros((self.graph.n_vertices - 1, chunk.size))
             rhs[chunk, cols] = 1.0
             sols, _, _ = self._solve(rhs)
             values[free[start:start + _CHECK_COLUMNS]] = sols[chunk, cols]
@@ -275,7 +266,8 @@ def max_pointwise_ratios(
     if not radii:
         return []
     dist = g.distances_from(g.marked, metric)
-    sel = (dist < max(radii)) & (g.labels != g.marked)
+    sel = dist < max(radii)
+    sel[g.index(g.marked)] = False
     if not sel.any():
         return [(0.0, None) for _ in radii]
     cache = factor(g)

@@ -97,6 +97,12 @@ BASE = "name = x\nmodel = lrp\nhalf_width = 64\ntail_exponent = 3.5\n"
         ("master_seed = -1\n", "master_seed must be nonnegative"),
         ("radius_grid 4,8\n", "line 5: expected 'key = value'"),
         ("name =\n", "name must be nonempty"),
+        ("volume_exponent = -1\n", "volume_exponent with volume_log_power: growth exponent "
+                                    "must be positive"),
+        ("volume_exponent = 0\n", "volume_exponent with volume_log_power: growth exponent "
+                                   "must be positive"),
+        ("resistance_log_power = -50\n",
+         "resistance_exponent with resistance_log_power: log_power too negative"),
     ],
 )
 def test_validation_failures(extra, message):

@@ -14,6 +14,7 @@ from resistive_walk.errors import InvalidArgumentError, TruncationError
 from resistive_walk.generate import ExpTailParams, LongRangeParams, fixture
 from resistive_walk.graph import (
     INT64,
+    METRICS,
     Graph,
     dumps_edge_list,
     loads_edge_list,
@@ -552,6 +553,27 @@ def test_probe_radius_guard(line64):
     assert line64.check_ball(-40, 6, "line") == 6
     with pytest.raises(TruncationError, match="distance from -40 to the nearer window end, 24"):
         line64.check_ball(-40, 7, "line")
+
+
+@pytest.mark.parametrize("center, radius, distance", [(0, 65, 64), (40, 10**6, 24)])
+def test_a_ball_that_covers_a_window_is_refused_by_the_quarter_rule(line64, center, radius,
+                                                                    distance):
+    with pytest.raises(TruncationError, match=f"quarter of the line-metric distance from "
+                                              f"{center} to the nearer window end, {distance}"):
+        line64.check_ball(center, radius, "line")
+
+
+def test_ball_guard_on_a_window_makes_no_window_length_pass():
+    # the quarter rule puts both window ends outside the ball, so no pass over
+    # the cached distances looks for a vertex outside it
+    g = fixture("line", 2**16)
+    g.distances_from(0, "line")
+    radii = (1, 16, 2**14)
+    guarded, peak = _traced_peak(
+        lambda: [g.check_ball(0, R, metric) for metric in METRICS for R in radii]
+    )
+    assert guarded == list(radii) * len(METRICS)
+    assert peak < g.n_vertices // 16
 
 
 def test_probe_radius_unrestricted_without_truncation():
