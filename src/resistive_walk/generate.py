@@ -42,7 +42,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import INT64, Graph
+from .graph import INT64, Graph, check_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -92,7 +92,7 @@ class LongRangeParams:
     seed: int
 
     def bond_probability(self, n: int) -> float:
-        if n == 1:
+        if check_int(n, "distance") == 1:
             return 1.0
         return min(self.beta * float(n) ** -self.tail_exponent, PROBABILITY_CAP)
 
@@ -125,7 +125,7 @@ class ExpTailParams:
     seed: int
 
     def bond_probability(self, n: int) -> float:
-        if n == 1:
+        if check_int(n, "distance") == 1:
             return 1.0
         return min(float(np.exp(-self.rate * n)), PROBABILITY_CAP)
 

@@ -13,7 +13,9 @@ mix_seed(master_seed, 2i) and its walks from mix_seed(master_seed, 2i+1).
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -304,13 +306,11 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
         "scale_m": scale_m,
         "scale_t": scale_t,
     }
-    boot = 0
+    boot_seeds = itertools.count(999_000_001)
 
     def ci(samples: np.ndarray) -> dict:
-        nonlocal boot
-        boot += 1
         mean, lo, hi = bootstrap_mean_ci(
-            samples, seed=mix_seed(config.master_seed, 999_000_000 + boot)
+            samples, seed=mix_seed(config.master_seed, next(boot_seeds))
         )
         return {"mean": mean, "ci_lo": lo, "ci_hi": hi}
 
@@ -356,7 +356,9 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
             "tolerances": list(config.tolerance_grid),
             "failure_fractions": dict(zip(config.goodscale_radii, fractions)),
             "decay": {
-                R: {"rate": fit.rate, "floored": fit.floored}
+                # strict JSON has no inf: an unresolved decay's rate is null
+                R: {"rate": fit.rate if math.isfinite(fit.rate) else None,
+                    "floored": fit.floored}
                 for R, fit in zip(config.goodscale_radii, fits)
             },
         }
@@ -389,7 +391,8 @@ def build_summary(config: ExperimentConfig, results: list[dict]) -> dict:
                 }
             )
         summary["mc_exit"] = table
-    return json.loads(json.dumps(summary, default=lambda o: o.tolist()))
+    # strict JSON: any other non-finite value fails here, before a file is written
+    return json.loads(json.dumps(summary, default=lambda o: o.tolist(), allow_nan=False))
 
 
 def run(

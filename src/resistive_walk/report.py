@@ -7,6 +7,7 @@ the output directory, so a malformed summary leaves nothing behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -86,10 +87,12 @@ def _report_files(summary: dict) -> dict[str, str]:
         ):
             files[f"goodscale_R{key}.dat"] = _dat("lambda failure_fraction", (lams, fractions))
             decay = goodscale["decay"][key]
+            # summary.json writes an unresolved (infinite) rate as null
+            rate = math.inf if decay["rate"] is None else decay["rate"]
             floored = " (floored tail)" if decay["floored"] else ""
             text.append(
                 f"good-scale failure decay at R={key}: "
-                f"rate {decay['rate']:.3f}{floored}\n"
+                f"rate {rate:.3f}{floored}\n"
             )
 
     tightness = summary.get("tightness")

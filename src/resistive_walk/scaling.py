@@ -23,21 +23,9 @@ from .errors import InvalidArgumentError
 from .graph import check_int
 
 
-def _log_lever_max() -> float:
-    """max over R > 0 of R / ((e+R) log(e+R)).
-
-    This is the lever arm of the log factor on the local log-log slope.
-    With u = e + R the maximiser solves u = e (1 + log u).  The left side
-    minus the right is convex and increasing past the root, so Newton's
-    method from u = 10 falls monotonically onto it.
-    """
-    u = 10.0
-    for _ in range(6):
-        u -= (u - math.e * (1.0 + math.log(u))) / (1.0 - math.e / u)
-    return (u - math.e) / (u * math.log(u))
-
-
-_H_MAX = _log_lever_max()
+# max over R > 0 of R / ((e+R) log(e+R)), the lever arm of the log factor on
+# the local log-log slope; its maximiser solves e + R = e (1 + log(e + R))
+_H_MAX = 0.31784443289937275
 
 
 @dataclass(frozen=True)
@@ -258,8 +246,10 @@ def failure_decay_fit(
 
     Zero counts fall below the resolution of the ensemble; the first zero
     entry is kept at the conventional floor 1/(2*ensemble) so the cliff
-    into zero still informs the fit, and later zeros are dropped.  Each
-    tolerance must pass `check_tolerance`.
+    into zero still informs the fit, and later zeros are dropped.  When the
+    first fraction is already zero, one pair is left and the decay is not
+    resolved by the grid: `rate` is inf and `floored` true.  Each tolerance
+    must pass `check_tolerance`.
     """
     lam = np.asarray(lambdas, dtype=float)
     frac = np.asarray(fractions, dtype=float)
@@ -270,22 +260,15 @@ def failure_decay_fit(
     for lv in lam:
         check_tolerance(lv)
     floor = 1.0 / (2.0 * check_int(ensemble_size, "ensemble_size"))
-    xs: list[float] = []
-    ys: list[float] = []
-    floored = False
-    for lv, fv in zip(lam, frac):
-        if fv > 0:
-            xs.append(lv)
-            ys.append(fv)
-        else:
-            xs.append(lv)
-            ys.append(floor)
-            floored = True
-            break
+    zeros = np.flatnonzero(frac == 0)
+    floored = zeros.size > 0
+    end = zeros[0] + 1 if floored else lam.size
+    xs = tuple(lam[:end])
+    ys = (*frac[: end - 1], floor) if floored else tuple(frac)
     if len(xs) < 2:
-        return DecayFit(math.inf, tuple(xs), tuple(ys), floored)
+        return DecayFit(math.inf, xs, ys, floored)
     slope, _ = _ols_loglog(np.asarray(xs), np.asarray(ys))
-    return DecayFit(-slope, tuple(xs), tuple(ys), floored)
+    return DecayFit(-slope, xs, ys, floored)
 
 
 def tightness_table(

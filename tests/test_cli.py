@@ -184,6 +184,15 @@ def test_count_and_size_flags_past_int64_exit_2(line_file, capsys, argv):
     assert captured.out == ""
 
 
+def test_size_flag_that_is_not_an_integer_exits_2(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["generate", "--model", "lrp", "--half-width", "abc"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid int value: 'abc'" in captured.err
+    assert captured.out == ""
+
+
 # fits in int64, but no machine can allocate an array that long
 HUGE = "4611686018427387904"
 

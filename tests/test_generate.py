@@ -71,6 +71,15 @@ def test_exp_tail_probability():
     assert p.bond_probability(3) == pytest.approx(np.exp(-4.5))
 
 
+@pytest.mark.parametrize("params", [LongRangeParams(8, 1.0, 3.5, 0), ExpTailParams(8, 1.0, 0)],
+                         ids=["lrp", "exp"])
+def test_bond_probability_takes_positive_integer_distances(params):
+    assert params.bond_probability(1) == 1.0
+    for distance in (0, -3, 2.5, float("nan")):
+        with pytest.raises(InvalidArgumentError, match="distance must be a positive integer"):
+            params.bond_probability(distance)
+
+
 @pytest.mark.parametrize(
     "params",
     [

@@ -679,6 +679,12 @@ def test_read_edge_list_rejects_bytes_that_are_not_utf8(tmp_path):
         read_edge_list(path)
 
 
+def test_loads_skips_blank_and_comment_lines():
+    g = loads_edge_list("# marked=0 window=0,2\n\n# a comment\n0 1 1.0\n   \n"
+                        "  # indented\n1 2 2.0\n")
+    assert list(g.bonds()) == [(0, 1, 1.0), (1, 2, 2.0)]
+
+
 def test_header_defaults_truncated_to_false():
     g = loads_edge_list("# marked=0 window=0,1\n0 1 1.0\n")
     assert not g.truncated

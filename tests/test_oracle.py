@@ -35,6 +35,12 @@ def test_resistance_to_a_set():
     assert dense_resistance(g, [0], [-2, 2]) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_resistance_refuses_overlapping_sets():
+    g = fixture("line", 4)
+    with pytest.raises(InvalidArgumentError, match="disjoint"):
+        dense_resistance(g, [0, 1], [1, 2])
+
+
 def test_heat_kernel_on_line():
     g = fixture("line", 8)
     table = dense_heat_kernel(g, 0, 4)

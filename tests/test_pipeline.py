@@ -328,6 +328,16 @@ def test_worker_count_from_environment(mini_config, tmp_path, monkeypatch):
         run(mini_config, tmp_path / "bad")
 
 
+@pytest.mark.parametrize("workers, env", [(0, None), (None, "0")], ids=["argument", "environment"])
+def test_run_refuses_a_worker_count_below_one(mini_config, tmp_path, monkeypatch, workers, env):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    if env is not None:
+        monkeypatch.setenv(WORKERS_ENV, env)
+    with pytest.raises(ConfigError, match="worker count must be positive"):
+        run(mini_config, tmp_path / "out", workers=workers)
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_requires_outdir(mini_config):
     with pytest.raises(ConfigError, match="output directory"):
         run(mini_config)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,38 @@ def test_digest_prints_a_computed_fit(tmp_path):
     text = (report(run(config, tmp_path / "fit").path) / "summary.txt").read_text()
     assert ("exit-time exponent: 2.0000 +- 0.0000 (window [1, 8], 8 points; "
             "all points 2.0000 +- 0.0000)\n") in text
+
+
+def test_digest_notes_an_exit_fit_that_was_not_computed(tmp_path):
+    stats = {"mean": [1.0], "ci_lo": [1.0], "ci_hi": [1.0]}
+    summary = {"name": "x", "ensemble": 1, "config_hash": "abc",
+               "series": {"radius_grid": [1], "exit": stats, "exit_ratio": [1.0],
+                          "resistance_volume": stats, "resistance_volume_ratio": [1.0]}}
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    text = (report(tmp_path) / "summary.txt").read_text()
+    assert "exit-time exponent: not computed\n" in text
+
+
+# on the line every ball is a good scale from the first tolerance on, so no
+# failure is left to fit a decay to
+FLOORED_CONFIG = ("name = floored\nmodel = fixture\nfixture_name = line\nfixture_size = 256\n"
+                  "goodscale_radii = 4,8\ntolerance_grid = 8,16\n")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_an_unresolved_decay_rate_is_written_as_strict_json(tmp_path):
+    path = run(parse_config(FLOORED_CONFIG), tmp_path / "floored").path
+    for name in ("summary.json", "record.json"):
+        json.loads((path / name).read_text(), parse_constant=_refuse_constant)
+    summary = json.loads((path / "summary.json").read_text())
+    unresolved = {"rate": None, "floored": True}
+    assert summary["goodscale"]["decay"] == {"4": unresolved, "8": unresolved}
+    text = (report(path) / "summary.txt").read_text()
+    for R in (4, 8):
+        assert f"good-scale failure decay at R={R}: rate inf (floored tail)\n" in text
 
 
 def test_report_needs_summary(tmp_path):

@@ -181,6 +181,17 @@ def test_green_row_is_nonnegative(lrp128):
     assert np.all(row.values >= -1e-12)
 
 
+@pytest.mark.parametrize(
+    "domain, x, message",
+    [(None, 0, "proper subset"),  # every vertex of the graph
+     ([-1, 0, 1], 2, "x must lie in the domain")],
+)
+def test_green_row_refuses_bad_domains(line64, domain, x, message):
+    domain = line64.labels.tolist() if domain is None else domain
+    with pytest.raises(InvalidArgumentError, match=message):
+        green_row(line64, domain, x)
+
+
 def test_origin_cache_matches_pair_resistances(lrp128):
     cache = OriginResistanceCache(lrp128)
     targets = [-9, -3, 1, 5, 20]
@@ -476,6 +487,17 @@ def test_projection_requires_line_labels():
     g = Graph([(0, 1, 1.0), (1, 3, 1.0)], marked=0)
     with pytest.raises(InvalidArgumentError, match="contiguous"):
         project_long_bonds(g)
+
+
+@pytest.mark.parametrize(
+    "g, side, message",
+    [(fixture("line", 8), 0, "side must be"),
+     (fixture("path", 4), -1, "no segments")],  # the path starts at its marked vertex
+    ids=["side-zero", "side-without-segments"],
+)
+def test_projection_refuses_a_bad_side(g, side, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        project_long_bonds(g, side)
 
 
 def test_projected_line_validates_distance():

@@ -101,6 +101,13 @@ def test_displacement_scale_rejects_nonpositive():
         displacement_scale(v, v, 0.0)
 
 
+def test_displacement_scale_refuses_n_past_the_doubling_cap():
+    # (v r)(2^400) = 2^800 < 1e300, so the bracket would double past 2^400
+    v = GrowthFunction(1.0)
+    with pytest.raises(InvalidArgumentError, match="too large to invert"):
+        displacement_scale(v, v, 1e300)
+
+
 # -- good scales ---------------------------------------------------------
 
 
@@ -198,6 +205,7 @@ def test_failure_decay_of_exact_halving():
     fit = failure_decay_fit(lams, fractions, ensemble_size=64)
     assert fit.rate == pytest.approx(1.0, abs=1e-12)
     assert not fit.floored
+    assert fit.lambdas == tuple(lams) and fit.fractions == tuple(fractions)
 
 
 def test_failure_decay_floors_first_zero():
@@ -206,11 +214,17 @@ def test_failure_decay_floors_first_zero():
     assert fit.lambdas == (2.0, 4.0, 8.0)
     assert fit.fractions[-1] == pytest.approx(1.0 / 16.0)
     assert fit.rate > 0
+    # the kept pairs are the input's float64 entries; the floor is a Python float
+    assert [type(x) for x in fit.lambdas] == [np.float64] * 3
+    assert [type(y) for y in fit.fractions] == [np.float64, np.float64, float]
 
 
 def test_failure_decay_degenerate_cases():
     fit = failure_decay_fit([2.0, 4.0], [0.0, 0.0], 8)
     assert math.isinf(fit.rate)
+    assert fit.floored and fit.lambdas == (2.0,) and fit.fractions == (1.0 / 16.0,)
+    with pytest.raises(InvalidArgumentError, match="at least two distinct abscissae"):
+        failure_decay_fit([4.0, 4.0], [0.5, 0.25], 8)
     with pytest.raises(InvalidArgumentError):
         failure_decay_fit([2.0], [0.5], 8)
     with pytest.raises(InvalidArgumentError):
